@@ -3,6 +3,8 @@
 #
 #   ./ci.sh                      tier-1 + ASan/UBSan (the historical default)
 #   ./ci.sh --tier1              configure, build, ctest (the gate, ROADMAP.md)
+#   ./ci.sh --release            Release (-O3) build of everything, full suite:
+#                                the golden digests must hold at -O3 too
 #   ./ci.sh --asan               AddressSanitizer + UBSan, Debug, full suite
 #   ./ci.sh --tsan               ThreadSanitizer, full suite (data races in the
 #                                hot-path pool / parallel kernels / obs layer)
@@ -55,8 +57,8 @@
 #                                annotations (skipped otherwise)
 #   ./ci.sh --all                every leg above
 #
-# Each leg builds in its own tree (build, build-asan, build-tsan,
-# build-paranoid) so configurations never contaminate each other. A
+# Each leg builds in its own tree (build, build-release, build-asan,
+# build-tsan, build-paranoid) so configurations never contaminate each other. A
 # per-leg pass/fail summary prints at the end; the exit code is non-zero
 # when any requested leg failed. Warnings are errors in every leg
 # (-Wall -Wextra -Wpedantic -Wshadow -Wconversion -Werror via
@@ -70,6 +72,7 @@ LEGS=()
 for arg in "$@"; do
   case "$arg" in
     --tier1) LEGS+=(tier1) ;;
+    --release) LEGS+=(release) ;;
     --asan) LEGS+=(asan) ;;
     --tsan) LEGS+=(tsan) ;;
     --paranoid) LEGS+=(paranoid) ;;
@@ -81,9 +84,9 @@ for arg in "$@"; do
     --recovery) LEGS+=(recovery) ;;
     --analyze) LEGS+=(analyze) ;;
     --cluster) LEGS+=(cluster) ;;
-    --all) LEGS+=(tier1 asan tsan paranoid tidy faults fleet fuzz ingest recovery cluster analyze) ;;
+    --all) LEGS+=(tier1 release asan tsan paranoid tidy faults fleet fuzz ingest recovery cluster analyze) ;;
     *)
-      echo "usage: ./ci.sh [--tier1] [--asan] [--tsan] [--paranoid] [--tidy] [--faults] [--fleet] [--fuzz] [--ingest] [--recovery] [--cluster] [--analyze] [--all]" >&2
+      echo "usage: ./ci.sh [--tier1] [--release] [--asan] [--tsan] [--paranoid] [--tidy] [--faults] [--fleet] [--fuzz] [--ingest] [--recovery] [--cluster] [--analyze] [--all]" >&2
       exit 2
       ;;
   esac
@@ -104,6 +107,9 @@ run_leg() {
   case "$1" in
     tier1)
       build_and_test build
+      ;;
+    release)
+      build_and_test build-release -DCMAKE_BUILD_TYPE=Release
       ;;
     asan)
       build_and_test build-asan \

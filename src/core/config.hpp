@@ -1,10 +1,10 @@
-// Configuration of the Stay-Away runtime and its components.
+// Configuration of the Stay-Away control loop and its components.
 //
 // StayAwayConfig is the single config entry point: it carries the
 // monitor's SamplerConfig and the streaming IngestConfig too, so
-// StayAwayRuntime, StayAwayPolicy and harness::ExperimentSpec are
-// configured through one object. FleetConfig sizes the multi-host
-// controller built on top of per-host pipelines.
+// HostPipeline and harness::ExperimentSpec are configured through one
+// object. FleetConfig sizes the multi-host controller built on top of
+// per-host pipelines.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +37,7 @@ struct GovernorConfig {
   double random_resume_probability = 0.15;
 };
 
-/// Degraded-mode control loop (DESIGN.md §12): how the runtime responds
+/// Degraded-mode control loop (DESIGN.md §12): how the pipeline responds
 /// when telemetry goes missing, readings go non-finite, the QoS probe
 /// goes blind, or a pause/resume command does not take.
 struct DegradationConfig {
@@ -142,7 +142,7 @@ struct StayAwayConfig {
   std::size_t min_mode_observations = 6;
   /// Bins of the step-length and angle histograms.
   std::size_t histogram_bins = 24;
-  /// When false the runtime observes, maps and predicts but never acts —
+  /// When false the pipeline observes, maps and predicts but never acts —
   /// used by the template-validation experiment (Fig. 18) and by the
   /// prediction-accuracy bench.
   bool actions_enabled = true;
@@ -167,7 +167,7 @@ struct StayAwayConfig {
   /// and keep the better, the historical behaviour.
   double warm_skip_stress = 0.0;
   /// Threads for the hot-path kernels (distance matrices, SMACOF inner
-  /// loops) — applied to the process-wide pool at runtime construction.
+  /// loops) — applied to the process-wide pool at pipeline construction.
   /// 1 = strictly sequential and bit-identical to the historical code;
   /// 0 = leave the process-wide setting untouched.
   std::size_t hot_path_threads = 0;

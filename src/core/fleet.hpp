@@ -3,8 +3,8 @@
 // (DESIGN.md §13). Hosts never share mutable state: each member owns its
 // simulated host, pipeline, RNG streams (split from the fleet seed via
 // fleet_host_seed) and degradation machinery, so a fleet of one host
-// with default config emits a PeriodRecord stream byte-identical to the
-// single-host runtime (golden test in tests/test_fleet.cpp).
+// emits exactly the PeriodRecord stream its pipeline would emit driven
+// alone (golden digests in tests/test_fleet.cpp).
 #pragma once
 
 #include <cstdint>

@@ -7,10 +7,9 @@
 // its defaults, a null actuator never acts (the no-prevention shape).
 //
 // With the full Stay-Away wiring (the three-argument constructor) the
-// emitted PeriodRecord stream is byte-identical to the historical
-// monolithic StayAwayRuntime — the invariant every figure bench and the
-// fault golden rest on, pinned by tests/test_runtime.cpp and
-// tests/test_fleet.cpp.
+// emitted PeriodRecord stream is the one every figure bench and the
+// fault golden rest on, pinned by tests/test_runtime.cpp and the
+// golden digests in tests/test_fleet.cpp.
 #pragma once
 
 #include <memory>

@@ -1,10 +1,10 @@
 // Fleet experiment runner (DESIGN.md §13): N named per-host experiment
 // specs driven as independent HostPipelines by core::FleetController,
 // optionally concurrently. Each host gets its own simulated host, VM set,
-// RNG streams and degradation state; the per-host results are the same
-// ExperimentResult the single-host runner produces. A fleet of one host
-// replays run_experiment byte-for-byte (golden test in
-// tests/test_fleet.cpp, fault-free and under a fault plan).
+// RNG streams and degradation state, and yields one ExperimentResult.
+// This is the only drive loop: run_experiment is a fleet of one host,
+// pinned by the golden digests in tests/test_fleet.cpp (every policy,
+// fault-free and under a fault plan).
 #pragma once
 
 #include <cstddef>

@@ -1,14 +1,23 @@
-// Unit tests for the baseline policies: no-prevention, reactive throttle,
-// static threshold.
+// Unit tests for the baseline policies as pipeline stages: no-prevention
+// (an empty StageSet), reactive throttling and static-threshold
+// throttling, each driven inside a core::HostPipeline.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/cpubomb.hpp"
 #include "apps/vlc_stream.hpp"
-#include "baseline/policy.hpp"
-#include "baseline/reactive.hpp"
-#include "baseline/static_threshold.hpp"
+#include "baseline/stages/reactive_actuator.hpp"
+#include "baseline/stages/static_actuator.hpp"
+#include "core/governor.hpp"
+#include "core/pipeline.hpp"
+#include "harness/experiment.hpp"
+#include "obs/events.hpp"
+#include "obs/observer.hpp"
 #include "util/check.hpp"
 
 namespace stayaway::baseline {
@@ -35,13 +44,26 @@ struct Rig {
   }
 };
 
+/// An actuator-only pipeline; a null actuator is the no-prevention shape.
+std::unique_ptr<core::HostPipeline> pipeline_with(
+    sim::SimHost& host, const sim::QosProbe& probe,
+    std::unique_ptr<core::Actuator> actuator) {
+  core::StageSet stages;
+  stages.actuator = std::move(actuator);
+  return std::make_unique<core::HostPipeline>(
+      host, probe, core::StayAwayConfig{}, std::move(stages));
+}
+
+/// One control period: ten 0.1 s ticks, then the pipeline.
+core::PeriodRecord step(Rig& rig, core::HostPipeline& pipeline) {
+  rig.host.run(10);
+  return pipeline.on_period();
+}
+
 TEST(NoPrevention, NeverActs) {
   Rig rig;
-  NoPrevention policy;
-  for (int p = 0; p < 20; ++p) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  auto pipeline = pipeline_with(rig.host, *rig.probe, nullptr);
+  for (int p = 0; p < 20; ++p) step(rig, *pipeline);
   EXPECT_FALSE(rig.host.vm(rig.batch).paused());
   EXPECT_DOUBLE_EQ(rig.host.vm(rig.batch).paused_time(), 0.0);
   EXPECT_TRUE(rig.probe->violated());  // contention unchecked
@@ -49,11 +71,12 @@ TEST(NoPrevention, NeverActs) {
 
 TEST(Reactive, PausesAfterObservedViolation) {
   Rig rig;
-  ReactiveThrottle policy;
+  auto stage = std::make_unique<ReactiveActuator>();
+  ReactiveActuator& policy = *stage;
+  auto pipeline = pipeline_with(rig.host, *rig.probe, std::move(stage));
   int periods_until_pause = 0;
   for (int p = 0; p < 20 && !rig.host.vm(rig.batch).paused(); ++p) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
+    step(rig, *pipeline);
     ++periods_until_pause;
   }
   EXPECT_TRUE(rig.host.vm(rig.batch).paused());
@@ -66,18 +89,13 @@ TEST(Reactive, ResumesAfterCooldown) {
   Rig rig;
   ReactiveConfig cfg;
   cfg.cooldown_s = 3.0;
-  ReactiveThrottle policy(cfg);
+  auto pipeline = pipeline_with(rig.host, *rig.probe,
+                                std::make_unique<ReactiveActuator>(cfg));
   // Drive to a pause.
-  while (!rig.host.vm(rig.batch).paused()) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  while (!rig.host.vm(rig.batch).paused()) step(rig, *pipeline);
   double paused_at = rig.host.now();
   // Run until resume.
-  while (rig.host.vm(rig.batch).paused()) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  while (rig.host.vm(rig.batch).paused()) step(rig, *pipeline);
   EXPECT_GE(rig.host.now() - paused_at, 3.0 - 1e-9);
 }
 
@@ -85,11 +103,10 @@ TEST(Reactive, RepausesOnRecurringViolation) {
   Rig rig;
   ReactiveConfig cfg;
   cfg.cooldown_s = 2.0;
-  ReactiveThrottle policy(cfg);
-  for (int p = 0; p < 60; ++p) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  auto stage = std::make_unique<ReactiveActuator>(cfg);
+  ReactiveActuator& policy = *stage;
+  auto pipeline = pipeline_with(rig.host, *rig.probe, std::move(stage));
+  for (int p = 0; p < 60; ++p) step(rig, *pipeline);
   // CPUBomb always re-violates after resume: multiple pause cycles.
   EXPECT_GE(policy.pauses(), 2u);
 }
@@ -97,18 +114,17 @@ TEST(Reactive, RepausesOnRecurringViolation) {
 TEST(Reactive, InvalidCooldownRejected) {
   ReactiveConfig cfg;
   cfg.cooldown_s = 0.0;
-  EXPECT_THROW(ReactiveThrottle{cfg}, PreconditionError);
+  EXPECT_THROW(ReactiveActuator{cfg}, PreconditionError);
 }
 
 TEST(StaticThreshold, PausesOnHighCpuUtilization) {
   Rig rig;
   StaticThresholdConfig cfg;
   cfg.cpu_cap = 0.85;
-  StaticThreshold policy(cfg);
-  for (int p = 0; p < 5; ++p) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  auto stage = std::make_unique<StaticThresholdActuator>(cfg);
+  StaticThresholdActuator& policy = *stage;
+  auto pipeline = pipeline_with(rig.host, *rig.probe, std::move(stage));
+  for (int p = 0; p < 5; ++p) step(rig, *pipeline);
   // VLC (2.6) + CPUBomb (4) saturate the host: utilization ~1 > cap.
   EXPECT_TRUE(rig.host.vm(rig.batch).paused());
   EXPECT_GE(policy.pauses(), 1u);
@@ -119,18 +135,13 @@ TEST(StaticThreshold, ResumesBelowHysteresis) {
   StaticThresholdConfig cfg;
   cfg.cpu_cap = 0.85;
   cfg.hysteresis = 0.1;
-  StaticThreshold policy(cfg);
+  auto pipeline = pipeline_with(
+      rig.host, *rig.probe, std::make_unique<StaticThresholdActuator>(cfg));
   // Pause under load.
-  for (int p = 0; p < 5; ++p) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  for (int p = 0; p < 5; ++p) step(rig, *pipeline);
   ASSERT_TRUE(rig.host.vm(rig.batch).paused());
   // With the bomb paused, VLC alone uses 2.6/4 = 0.65 < 0.75: resume.
-  for (int p = 0; p < 3; ++p) {
-    rig.host.run(10);
-    policy.on_period(rig.host, *rig.probe);
-  }
+  for (int p = 0; p < 3; ++p) step(rig, *pipeline);
   EXPECT_FALSE(rig.host.vm(rig.batch).paused());
 }
 
@@ -161,10 +172,11 @@ TEST(StaticThreshold, BlindToSwapViolations) {
   cfg.cpu_cap = 0.9;
   cfg.memory_cap = 2.0;  // memory rule effectively disabled
   cfg.membw_cap = 0.9;
-  StaticThreshold policy(cfg);
+  auto pipeline = pipeline_with(
+      host, *probe, std::make_unique<StaticThresholdActuator>(cfg));
   for (int p = 0; p < 20; ++p) {
     host.run(10);
-    policy.on_period(host, *probe);
+    pipeline->on_period();
   }
   EXPECT_FALSE(host.vm(hog_id).paused());
   EXPECT_TRUE(probe->violated());  // swap hurt VLC, policy never noticed
@@ -173,81 +185,109 @@ TEST(StaticThreshold, BlindToSwapViolations) {
 TEST(StaticThreshold, InvalidHysteresisRejected) {
   StaticThresholdConfig cfg;
   cfg.hysteresis = -0.1;
-  EXPECT_THROW(StaticThreshold{cfg}, PreconditionError);
+  EXPECT_THROW(StaticThresholdActuator{cfg}, PreconditionError);
 }
 
 TEST(PolicyNames, Stable) {
-  EXPECT_EQ(NoPrevention{}.name(), "no-prevention");
-  EXPECT_EQ(ReactiveThrottle{}.name(), "reactive");
-  EXPECT_EQ(StaticThreshold{}.name(), "static-threshold");
+  // The decision log names each baseline the same way, run after run.
+  const std::pair<harness::PolicyKind, std::string> names[] = {
+      {harness::PolicyKind::NoPrevention, "no-prevention"},
+      {harness::PolicyKind::Reactive, "reactive"},
+      {harness::PolicyKind::StaticThreshold, "static-threshold"},
+  };
+  for (const auto& [policy, name] : names) {
+    harness::ExperimentSpec spec;
+    spec.batch = harness::BatchKind::CpuBomb;
+    spec.policy = policy;
+    spec.duration_s = 10.0;
+    spec.batch_start_s = 5.0;
+    std::ostringstream out;
+    obs::JsonlSink sink(out);
+    obs::Observer observer(&sink);
+    spec.observer = &observer;
+    harness::run_experiment(spec);
+    observer.flush();
+
+    std::istringstream in(out.str());
+    std::size_t decisions = 0;
+    for (const obs::Event& e : obs::parse_jsonl(in)) {
+      if (e.type != "decision") continue;
+      ++decisions;
+      ASSERT_NE(e.find("policy"), nullptr);
+      EXPECT_EQ(e.find("policy")->as_string(), name);
+    }
+    EXPECT_EQ(decisions, 10u) << name;
+  }
 }
 
-TEST(PolicyDecision, NoPreventionAlwaysNone) {
+TEST(ActuatorOutcome, NoPreventionAlwaysNone) {
   Rig rig;
-  NoPrevention policy;
-  rig.host.run(10);
-  PolicyDecision d = policy.on_period(rig.host, *rig.probe);
-  EXPECT_EQ(d.action, PolicyAction::None);
-  EXPECT_TRUE(d.targets.empty());
-  EXPECT_FALSE(d.batch_paused_after);
+  auto pipeline = pipeline_with(rig.host, *rig.probe, nullptr);
+  core::PeriodRecord rec = step(rig, *pipeline);
+  const core::Actuator::Outcome& outcome = pipeline->last_outcome();
+  EXPECT_EQ(rec.action, core::ThrottleAction::None);
+  EXPECT_TRUE(outcome.paused.empty());
+  EXPECT_TRUE(outcome.resumed.empty());
+  EXPECT_TRUE(outcome.reason.empty());
+  EXPECT_FALSE(rec.batch_paused_after);
 }
 
-TEST(PolicyDecision, ReactiveReportsPauseAndResume) {
+TEST(ActuatorOutcome, ReactiveReportsPauseAndResume) {
   Rig rig;
   ReactiveConfig cfg;
   cfg.cooldown_s = 2.0;
-  ReactiveThrottle policy(cfg);
-  PolicyDecision d;
-  // Drive to the first pause and inspect that decision.
+  auto pipeline = pipeline_with(rig.host, *rig.probe,
+                                std::make_unique<ReactiveActuator>(cfg));
+  core::PeriodRecord rec;
+  // Drive to the first pause and inspect that outcome.
   for (int p = 0; p < 20; ++p) {
-    rig.host.run(10);
-    d = policy.on_period(rig.host, *rig.probe);
-    if (d.action != PolicyAction::None) break;
+    rec = step(rig, *pipeline);
+    if (rec.action != core::ThrottleAction::None) break;
   }
-  EXPECT_EQ(d.action, PolicyAction::Pause);
-  EXPECT_EQ(d.reason, "observed-violation");
-  EXPECT_EQ(d.targets, std::vector<sim::VmId>{rig.batch});
-  EXPECT_TRUE(d.batch_paused_after);
+  EXPECT_EQ(rec.action, core::ThrottleAction::Pause);
+  EXPECT_EQ(pipeline->last_outcome().reason, "observed-violation");
+  EXPECT_EQ(pipeline->last_outcome().paused,
+            std::vector<sim::VmId>{rig.batch});
+  EXPECT_TRUE(rec.batch_paused_after);
   // And the eventual resume names the cooldown.
   for (int p = 0; p < 40; ++p) {
-    rig.host.run(10);
-    d = policy.on_period(rig.host, *rig.probe);
-    if (d.action == PolicyAction::Resume) break;
+    rec = step(rig, *pipeline);
+    if (rec.action == core::ThrottleAction::Resume) break;
   }
-  EXPECT_EQ(d.action, PolicyAction::Resume);
-  EXPECT_EQ(d.reason, "cooldown-elapsed");
-  EXPECT_EQ(d.targets, std::vector<sim::VmId>{rig.batch});
-  EXPECT_FALSE(d.batch_paused_after);
+  EXPECT_EQ(rec.action, core::ThrottleAction::Resume);
+  EXPECT_EQ(pipeline->last_outcome().reason, "cooldown-elapsed");
+  EXPECT_EQ(pipeline->last_outcome().resumed,
+            std::vector<sim::VmId>{rig.batch});
+  EXPECT_FALSE(rec.batch_paused_after);
 }
 
-TEST(PolicyDecision, StaticThresholdNamesItsRules) {
+TEST(ActuatorOutcome, StaticThresholdNamesItsRules) {
   Rig rig;
   StaticThresholdConfig cfg;
   cfg.cpu_cap = 0.85;
   cfg.hysteresis = 0.1;
-  StaticThreshold policy(cfg);
-  PolicyDecision d;
+  auto pipeline = pipeline_with(
+      rig.host, *rig.probe, std::make_unique<StaticThresholdActuator>(cfg));
+  core::PeriodRecord rec;
   for (int p = 0; p < 5; ++p) {
-    rig.host.run(10);
-    d = policy.on_period(rig.host, *rig.probe);
-    if (d.action != PolicyAction::None) break;
+    rec = step(rig, *pipeline);
+    if (rec.action != core::ThrottleAction::None) break;
   }
-  EXPECT_EQ(d.action, PolicyAction::Pause);
-  EXPECT_EQ(d.reason, "threshold-exceeded");
-  ASSERT_FALSE(d.targets.empty());
+  EXPECT_EQ(rec.action, core::ThrottleAction::Pause);
+  EXPECT_EQ(pipeline->last_outcome().reason, "threshold-exceeded");
+  ASSERT_FALSE(pipeline->last_outcome().paused.empty());
   for (int p = 0; p < 5; ++p) {
-    rig.host.run(10);
-    d = policy.on_period(rig.host, *rig.probe);
-    if (d.action == PolicyAction::Resume) break;
+    rec = step(rig, *pipeline);
+    if (rec.action == core::ThrottleAction::Resume) break;
   }
-  EXPECT_EQ(d.action, PolicyAction::Resume);
-  EXPECT_EQ(d.reason, "below-hysteresis");
+  EXPECT_EQ(rec.action, core::ThrottleAction::Resume);
+  EXPECT_EQ(pipeline->last_outcome().reason, "below-hysteresis");
 }
 
-TEST(PolicyDecision, ActionNamesStable) {
-  EXPECT_STREQ(to_string(PolicyAction::None), "none");
-  EXPECT_STREQ(to_string(PolicyAction::Pause), "pause");
-  EXPECT_STREQ(to_string(PolicyAction::Resume), "resume");
+TEST(ActuatorOutcome, ActionNamesStable) {
+  EXPECT_STREQ(core::to_string(core::ThrottleAction::None), "none");
+  EXPECT_STREQ(core::to_string(core::ThrottleAction::Pause), "pause");
+  EXPECT_STREQ(core::to_string(core::ThrottleAction::Resume), "resume");
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
-// Fleet runner tests: the byte-identical fleet-of-1 contract (fault-free
-// and under a fault plan), the baseline policies driven as pipeline
-// stages, per-host seed splitting, host-labelled observability and
-// worker-count invariance.
+// Fleet runner tests: the fleet-of-1 golden digests (every policy,
+// fault-free and faulted, plus ring ingestion, webservice series, seeded
+// templates and passive mode) checked through both run_fleet and
+// run_experiment, per-host seed splitting, host-labelled observability
+// and worker-count invariance.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/fleet.hpp"
 #include "harness/fleet.hpp"
 #include "obs/events.hpp"
 #include "obs/observer.hpp"
+#include "util/statecodec.hpp"
 #include "util/thread_pool.hpp"
 
 namespace stayaway::harness {
@@ -47,38 +52,51 @@ sim::FaultPlan stress_plan() {
   return plan;
 }
 
-/// Full-field comparison: the fleet of one must replay the single-host
-/// runner exactly, not approximately.
-void expect_results_equal(const ExperimentResult& fleet,
-                          const ExperimentResult& solo) {
-  EXPECT_EQ(fleet.time, solo.time);
-  EXPECT_EQ(fleet.qos, solo.qos);
-  EXPECT_EQ(fleet.violated, solo.violated);
-  EXPECT_EQ(fleet.utilization, solo.utilization);
-  EXPECT_EQ(fleet.batch_running, solo.batch_running);
-  EXPECT_EQ(fleet.offered_tps, solo.offered_tps);
-  EXPECT_EQ(fleet.completed_tps, solo.completed_tps);
-  EXPECT_EQ(fleet.violation_periods, solo.violation_periods);
-  EXPECT_EQ(fleet.violation_fraction, solo.violation_fraction);
-  EXPECT_EQ(fleet.avg_utilization, solo.avg_utilization);
-  EXPECT_EQ(fleet.avg_qos, solo.avg_qos);
-  EXPECT_EQ(fleet.batch_cpu_work, solo.batch_cpu_work);
-  EXPECT_EQ(fleet.sensitive_cpu_work, solo.sensitive_cpu_work);
-  EXPECT_EQ(fleet.stayaway_records, solo.stayaway_records);
-  EXPECT_EQ(fleet.tally.true_positive, solo.tally.true_positive);
-  EXPECT_EQ(fleet.tally.false_positive, solo.tally.false_positive);
-  EXPECT_EQ(fleet.tally.true_negative, solo.tally.true_negative);
-  EXPECT_EQ(fleet.tally.false_negative, solo.tally.false_negative);
-  EXPECT_EQ(fleet.pauses, solo.pauses);
-  EXPECT_EQ(fleet.resumes, solo.resumes);
-  EXPECT_EQ(fleet.degraded_periods, solo.degraded_periods);
-  EXPECT_EQ(fleet.failsafe_periods, solo.failsafe_periods);
-  EXPECT_EQ(fleet.readings_quarantined, solo.readings_quarantined);
-  EXPECT_EQ(fleet.actuation_retries, solo.actuation_retries);
-  EXPECT_EQ(fleet.actuation_abandoned, solo.actuation_abandoned);
-  EXPECT_EQ(fleet.final_beta, solo.final_beta);
-  EXPECT_EQ(fleet.representative_count, solo.representative_count);
-  EXPECT_EQ(fleet.final_stress, solo.final_stress);
+/// One FNV-1a digest over everything a run produces: every PeriodRecord
+/// in its checkpoint encoding, every per-period series and every
+/// aggregate, so any drift in any field changes the digest.
+std::uint64_t result_digest(const ExperimentResult& r) {
+  auto flags = [](const std::vector<int>& v) {
+    return std::vector<std::uint64_t>(v.begin(), v.end());
+  };
+  std::ostringstream out;
+  util::StateWriter w(out);
+  w.u64("records", r.stayaway_records.size());
+  for (const core::PeriodRecord& rec : r.stayaway_records) {
+    core::write_period_record(w, rec);
+  }
+  w.reals("time", r.time);
+  w.reals("qos", r.qos);
+  w.u64s("violated", flags(r.violated));
+  w.reals("utilization", r.utilization);
+  w.u64s("batch_running", flags(r.batch_running));
+  w.reals("offered_tps", r.offered_tps);
+  w.reals("completed_tps", r.completed_tps);
+  w.u64("violation_periods", r.violation_periods);
+  w.real("violation_fraction", r.violation_fraction);
+  w.real("avg_utilization", r.avg_utilization);
+  w.real("avg_qos", r.avg_qos);
+  w.real("batch_cpu_work", r.batch_cpu_work);
+  w.real("sensitive_cpu_work", r.sensitive_cpu_work);
+  w.u64s("tally", {r.tally.true_positive, r.tally.false_positive,
+                   r.tally.true_negative, r.tally.false_negative});
+  w.u64("pauses", r.pauses);
+  w.u64("resumes", r.resumes);
+  w.u64("degraded_periods", r.degraded_periods);
+  w.u64("failsafe_periods", r.failsafe_periods);
+  w.u64("readings_quarantined", r.readings_quarantined);
+  w.u64("actuation_retries", r.actuation_retries);
+  w.u64("actuation_abandoned", r.actuation_abandoned);
+  w.real("final_beta", r.final_beta);
+  w.u64("representative_count", r.representative_count);
+  w.real("final_stress", r.final_stress);
+  w.boolean("template", r.exported_template.has_value());
+  if (r.exported_template.has_value()) r.exported_template->save(out);
+  for (const mds::Point2& p : r.final_map) {
+    w.real("x", p.x);
+    w.real("y", p.y);
+  }
+  return core::fnv1a64(out.str());
 }
 
 TEST(FleetHostSeed, SplitsAreDeterministicAndDecorrelated) {
@@ -153,48 +171,128 @@ TEST(FleetHostSeed, SplitsAreStatisticallyIndependent) {
   }
 }
 
-TEST(Fleet, SingleHostMatchesExperimentByteIdentical) {
-  ExperimentSpec spec = short_spec(PolicyKind::StayAway);
-  ExperimentResult solo = run_experiment(spec);
+struct GoldenRun {
+  std::string name;
+  ExperimentSpec spec;
+  std::uint64_t digest;
+};
 
+/// Digests captured through the separate single-host runner that
+/// preceded the fleet-of-one (policy adapter classes driven through a
+/// facade over the pipeline). The fleet path must reproduce them
+/// exactly: every policy fault-free and faulted, a webservice TPS series
+/// on a diurnal trace, ring ingestion with landmark-incremental
+/// embedding, a template-seeded map and a passive (observe-only)
+/// controller.
+std::vector<GoldenRun> golden_runs() {
+  std::vector<GoldenRun> runs;
+  const std::pair<PolicyKind, std::uint64_t> clean[] = {
+      {PolicyKind::StayAway, 0x5c895de2fc80b560ULL},
+      {PolicyKind::NoPrevention, 0x4c4a8d2639898eb6ULL},
+      {PolicyKind::Reactive, 0xaea580f268c88ba9ULL},
+      {PolicyKind::StaticThreshold, 0xc78e822edaf391baULL},
+  };
+  for (const auto& [policy, digest] : clean) {
+    runs.push_back({to_string(policy), short_spec(policy), digest});
+  }
+  const std::pair<PolicyKind, std::uint64_t> faulted[] = {
+      {PolicyKind::StayAway, 0xe9bfad67b05a25c3ULL},
+      {PolicyKind::NoPrevention, 0x4c4a8d2639898eb6ULL},
+      {PolicyKind::Reactive, 0xaea580f268c88ba9ULL},
+      {PolicyKind::StaticThreshold, 0xc78e822edaf391baULL},
+  };
+  for (const auto& [policy, digest] : faulted) {
+    ExperimentSpec spec = short_spec(policy);
+    spec.faults = stress_plan();
+    runs.push_back({std::string(to_string(policy)) + "/faults", spec, digest});
+  }
+
+  ExperimentSpec web = short_spec(PolicyKind::StayAway);
+  web.sensitive = SensitiveKind::WebserviceMem;
+  web.batch = BatchKind::MemBomb;
+  web.duration_s = 60.0;
+  web.workload = compressed_diurnal(web.duration_s, 2.0, 17);
+  runs.push_back({"webservice-mem/diurnal", web, 0x38676746878c8cfbULL});
+
+  ExperimentSpec ring = short_spec(PolicyKind::StayAway);
+  ring.stayaway.embed_method = core::EmbedMethod::LandmarkIncremental;
+  ring.stayaway.ingest.source = core::IngestSource::Ring;
+  ring.stayaway.ingest.rate_hz = 16.0;
+  ring.stayaway.ingest.ring_capacity = 64;
+  runs.push_back({"ring/landmark-incremental", ring, 0x1bb88cc55c95cb79ULL});
+
+  ExperimentSpec seeded = short_spec(PolicyKind::StayAway);
+  seeded.seed = 7;
+  seeded.seed_template =
+      run_experiment(short_spec(PolicyKind::StayAway)).exported_template;
+  runs.push_back({"template-seeded", seeded, 0x31390a590b3d7184ULL});
+
+  ExperimentSpec passive = short_spec(PolicyKind::StayAway);
+  passive.stayaway.actions_enabled = false;
+  runs.push_back({"passive", passive, 0x6a661f296d9148f5ULL});
+  return runs;
+}
+
+const GoldenRun& golden_run(const std::vector<GoldenRun>& runs,
+                            const std::string& name) {
+  for (const GoldenRun& run : runs) {
+    if (run.name == name) return run;
+  }
+  ADD_FAILURE() << "no golden run named " << name;
+  return runs.front();
+}
+
+/// Drives one golden run both as a named fleet of one and through
+/// run_experiment; each must reproduce the captured digest.
+ExperimentResult expect_golden(const GoldenRun& run) {
   FleetSpec fleet;
-  fleet.hosts.push_back({"solo", spec});
-  FleetResult r = run_fleet(fleet);
-  ASSERT_EQ(r.hosts.size(), 1u);
-  EXPECT_EQ(r.hosts[0].name, "solo");
-  expect_results_equal(r.hosts[0].result, solo);
-  ASSERT_TRUE(r.hosts[0].result.exported_template.has_value());
-  ASSERT_TRUE(solo.exported_template.has_value());
-  EXPECT_EQ(r.hosts[0].result.exported_template->entries.size(),
-            solo.exported_template->entries.size());
+  fleet.hosts.push_back({"solo", run.spec});
+  FleetResult fr = run_fleet(fleet);
+  EXPECT_EQ(fr.hosts.size(), 1u) << run.name;
+  if (fr.hosts.size() != 1u) return {};
+  EXPECT_EQ(fr.hosts[0].name, "solo") << run.name;
+  std::uint64_t fleet_digest = result_digest(fr.hosts[0].result);
+  EXPECT_EQ(fleet_digest, run.digest)
+      << run.name << " (fleet): digest 0x" << std::hex << fleet_digest
+      << "ULL";
+
+  ExperimentResult r = run_experiment(run.spec);
+  std::uint64_t got = result_digest(r);
+  EXPECT_EQ(got, run.digest)
+      << run.name << ": digest 0x" << std::hex << got << "ULL";
+  if (run.spec.faults.has_value() && run.spec.policy == PolicyKind::StayAway) {
+    // The plan must actually degrade the loop, or the faulted golden
+    // proves nothing about the degraded path.
+    EXPECT_GT(r.degraded_periods + r.failsafe_periods, 0u) << run.name;
+  }
+  return r;
+}
+
+TEST(Fleet, SingleHostMatchesExperimentByteIdentical) {
+  ExperimentResult r = expect_golden(golden_run(golden_runs(), "stay-away"));
+  EXPECT_TRUE(r.exported_template.has_value());
 }
 
 TEST(Fleet, SingleHostMatchesExperimentUnderFaults) {
-  ExperimentSpec spec = short_spec(PolicyKind::StayAway);
-  spec.faults = stress_plan();
-  ExperimentResult solo = run_experiment(spec);
-
-  FleetSpec fleet;
-  fleet.hosts.push_back({"faulted", spec});
-  FleetResult r = run_fleet(fleet);
-  ASSERT_EQ(r.hosts.size(), 1u);
-  expect_results_equal(r.hosts[0].result, solo);
-  // The plan must actually have degraded the loop, or the golden proves
-  // nothing about the faulted path.
-  EXPECT_GT(solo.degraded_periods + solo.failsafe_periods, 0u);
+  expect_golden(golden_run(golden_runs(), "stay-away/faults"));
 }
 
 TEST(Fleet, BaselinePoliciesMatchExperiment) {
-  for (PolicyKind policy :
-       {PolicyKind::NoPrevention, PolicyKind::Reactive,
-        PolicyKind::StaticThreshold}) {
-    ExperimentSpec spec = short_spec(policy);
-    ExperimentResult solo = run_experiment(spec);
-    FleetSpec fleet;
-    fleet.hosts.push_back({"base", spec});
-    FleetResult r = run_fleet(fleet);
-    ASSERT_EQ(r.hosts.size(), 1u) << to_string(policy);
-    expect_results_equal(r.hosts[0].result, solo);
+  const std::vector<GoldenRun> runs = golden_runs();
+  for (const char* name :
+       {"no-prevention", "reactive", "static-threshold",
+        "no-prevention/faults", "reactive/faults",
+        "static-threshold/faults"}) {
+    expect_golden(golden_run(runs, name));
+  }
+}
+
+TEST(Fleet, SingleHostGoldenDigests) {
+  const std::vector<GoldenRun> runs = golden_runs();
+  for (const char* name : {"webservice-mem/diurnal",
+                           "ring/landmark-incremental", "template-seeded",
+                           "passive"}) {
+    expect_golden(golden_run(runs, name));
   }
 }
 
@@ -220,7 +318,8 @@ TEST(Fleet, WorkersDoNotChangeResults) {
   ASSERT_EQ(rs.hosts.size(), rp.hosts.size());
   for (std::size_t i = 0; i < rs.hosts.size(); ++i) {
     EXPECT_EQ(rs.hosts[i].name, rp.hosts[i].name);
-    expect_results_equal(rp.hosts[i].result, rs.hosts[i].result);
+    EXPECT_EQ(result_digest(rp.hosts[i].result),
+              result_digest(rs.hosts[i].result));
   }
   // Decorrelated seeds: sibling hosts must not mirror each other.
   EXPECT_NE(rs.hosts[0].result.stayaway_records,

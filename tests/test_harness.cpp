@@ -2,11 +2,16 @@
 // runner bookkeeping, gained-utilization math, report rendering.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
 #include "harness/scenarios.hpp"
+#include "obs/events.hpp"
+#include "obs/observer.hpp"
+#include "sim/faults.hpp"
 #include "util/check.hpp"
 
 namespace stayaway::harness {
@@ -167,6 +172,50 @@ TEST(Experiment, InvalidSpecsRejected) {
   spec = short_spec();
   spec.period_s = 0.01;  // below tick
   EXPECT_THROW(run_experiment(spec), PreconditionError);
+}
+
+TEST(Experiment, ResumeDecisionCountsTheVmItReleased) {
+  // Regression: with flaky actuation an abandoned resume splices the VM
+  // back into the throttled set mid-period. A decision log built from a
+  // snapshot taken before the period reported the Resume at t=68 s as
+  // releasing nothing, although it released the bomb.
+  ExperimentSpec spec = short_spec();
+  spec.policy = PolicyKind::StayAway;
+  spec.duration_s = 120.0;
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  auto fault = [](sim::FaultKind kind, double start, double end, double p) {
+    sim::FaultSpec f;
+    f.kind = kind;
+    f.start_s = start;
+    f.end_s = end;
+    f.probability = p;
+    return f;
+  };
+  plan.faults.push_back(fault(sim::FaultKind::PauseFail, 0.0, 120.0, 0.7));
+  plan.faults.push_back(fault(sim::FaultKind::ResumeFail, 0.0, 120.0, 0.7));
+  plan.faults.push_back(fault(sim::FaultKind::QosBlind, 40.0, 55.0, 1.0));
+  spec.faults = plan;
+  std::ostringstream out;
+  obs::JsonlSink sink(out);
+  obs::Observer observer(&sink);
+  spec.observer = &observer;
+  run_experiment(spec);
+  observer.flush();
+
+  std::istringstream in(out.str());
+  const obs::Event* resume = nullptr;
+  std::vector<obs::Event> events = obs::parse_jsonl(in);
+  for (const obs::Event& e : events) {
+    const obs::JsonValue* action = e.find("action");
+    if (e.type == "decision" && std::lround(e.time) == 68 &&
+        action != nullptr && action->as_string() == "resume") {
+      resume = &e;
+    }
+  }
+  ASSERT_NE(resume, nullptr);
+  ASSERT_NE(resume->find("targets"), nullptr);
+  EXPECT_EQ(resume->find("targets")->as_double(), 1.0);
 }
 
 TEST(Report, SummaryAndSeriesRender) {

@@ -142,7 +142,9 @@ TEST(Metrics, HandlesStaySableAcrossGrowth) {
   Counter first = reg.counter("c0");
   first.inc();
   for (int i = 1; i < 300; ++i) {
-    reg.counter("c" + std::to_string(i)).inc(static_cast<std::uint64_t>(i));
+    std::string name = "c";
+    name += std::to_string(i);
+    reg.counter(name).inc(static_cast<std::uint64_t>(i));
   }
   first.inc();
   EXPECT_EQ(first.value(), 2u);
