@@ -12,9 +12,10 @@
 #                                SA_INVARIANT audit enabled, full suite
 #   ./ci.sh --tidy               best-effort clang-tidy over src/ (skipped
 #                                when clang-tidy is not installed)
-#   ./ci.sh --faults             fault-injection smoke: stayaway_sim under a
-#                                generated fault plan in the ASan tree, so the
-#                                degraded-mode path runs sanitized end to end
+#   ./ci.sh --faults             fault-injection smoke: stayaway_sim on a
+#                                scenario carrying a fault plan in the ASan
+#                                tree, so the degraded-mode path runs
+#                                sanitized end to end
 #   ./ci.sh --fleet              fleet gate (DESIGN.md §13): the fleet tests
 #                                (byte-identical fleet-of-1 golden, scenario
 #                                overlays, worker invariance) in the tier-1
@@ -127,9 +128,10 @@ run_leg() {
         -DSTAYAWAY_PARANOID=ON
       ;;
     faults)
-      # Degraded-mode smoke: drive stayaway_sim end to end under a fault
-      # plan, sanitized, so sensor dropout / QoS blindness / failed
-      # actuation exercise the quarantine + failsafe + retry paths.
+      # Degraded-mode smoke: drive stayaway_sim end to end on a scenario
+      # whose fault_seed/fault lines form the plan, sanitized, so sensor
+      # dropout / QoS blindness / failed actuation exercise the
+      # quarantine + failsafe + retry paths.
       cmake -B build-asan -S . \
         -DCMAKE_BUILD_TYPE=Debug \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
@@ -143,16 +145,13 @@ batch         = cpubomb
 policy        = stay-away
 duration_s    = 60
 batch_start_s = 5
-EOF
-      cat >"$tmpdir/faults.conf" <<'EOF'
-seed  = 7
+fault_seed    = 7
 fault = sensor-dropout start=10 end=40 p=0.2
 fault = qos-blind start=20 end=30
 fault = pause-fail start=10 end=40 p=0.5
 EOF
       local out rc
-      out="$(./build-asan/tools/stayaway_sim \
-        --faults "$tmpdir/faults.conf" "$tmpdir/scenario.conf")"
+      out="$(./build-asan/tools/stayaway_sim "$tmpdir/scenario.conf")"
       rc=$?
       rm -rf "$tmpdir"
       echo "$out"

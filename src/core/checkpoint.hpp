@@ -4,9 +4,11 @@
 // injector and the degradation machine — framed so a restore is either
 // exact or a loud, typed failure:
 //
-//   stayaway-checkpoint v2        version header
-//   records = <n>                 } body: fixed-order `key = value`
-//   ...                           } lines via util::StateWriter
+//   stayaway-checkpoint v3        version header (util/envelope.hpp)
+//   records = <n>                 } body via util::StateWriter: the
+//   record = <record line>        } record history in the one PeriodRecord
+//   ...                           } codec (core/period.hpp), then every
+//   <save_state lines>            } stage's save_state lines
 //   checksum = <fnv1a64(body)>    integrity trailer
 //
 // Doubles round-trip through format_double_exact, so restore-then-run
@@ -18,45 +20,17 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
-#include "core/period.hpp"
 #include "core/pipeline.hpp"
-#include "util/statecodec.hpp"
+#include "util/envelope.hpp"
 
 namespace stayaway::core {
 
-// v2 appends the cluster fields (migrations_out/in) to every record and
-// re-keys the actuation journal on an op kind that covers the migration
-// verbs (journal_kind, was journal_pause). v1 blobs are rejected.
-inline constexpr std::uint64_t kCheckpointVersion = 2;
-
-/// The blob carries a recognized header with an unsupported version —
-/// distinct from corruption so callers can message it precisely.
-class CheckpointVersionError : public util::StateCodecError {
- public:
-  using util::StateCodecError::StateCodecError;
-};
-
-/// The body hash disagrees with the trailer: the checkpoint rotted at
-/// rest (or a CheckpointCorrupt fault fired). The supervisor falls back
-/// to an older checkpoint, then to a cold start.
-class CheckpointChecksumError : public util::StateCodecError {
- public:
-  using util::StateCodecError::StateCodecError;
-};
-
-/// Serializes one PeriodRecord as fixed-order body lines / reads one
-/// back. write→read is the identity on every field, including non-finite
-/// coordinates.
-void write_period_record(util::StateWriter& w, const PeriodRecord& rec);
-PeriodRecord read_period_record(util::StateReader& r);
-
-/// Canonical single-string encoding of one record. The supervisor's gap
-/// replay compares regenerated records against history through this, so
-/// divergence detection is exact even on NaN coordinates (where
-/// operator== would lie).
-std::string encode_record(const PeriodRecord& rec);
+// v3 stores each record as one `record = <line>` in the PeriodRecord
+// codec shared with the run-log (v2 spelled every field as its own
+// `key = value` line). Older blobs are rejected with
+// util::EnvelopeVersionError.
+inline constexpr std::uint64_t kCheckpointVersion = 3;
 
 /// Encodes the full checkpoint of `pipeline` at the current period
 /// boundary. Requires pipeline.checkpointable().
@@ -64,9 +38,10 @@ std::string encode_checkpoint(const HostPipeline& pipeline);
 
 /// Decodes `blob` into a freshly built pipeline (same wiring, same fault
 /// plan, no periods run) and returns the number of completed periods.
-/// Throws CheckpointVersionError on a version mismatch,
-/// CheckpointChecksumError on an integrity failure and
-/// util::StateCodecError on truncation or malformed fields.
+/// Throws util::EnvelopeVersionError on a version mismatch,
+/// util::EnvelopeChecksumError on an integrity failure and
+/// util::StateCodecError on truncation or malformed fields (a malformed
+/// record line included).
 std::size_t restore_checkpoint(HostPipeline& pipeline,
                                const std::string& blob);
 
@@ -78,9 +53,6 @@ std::size_t restore_checkpoint(HostPipeline& pipeline,
 /// the supervisor's warm restart.
 std::size_t warm_start(HostPipeline& pipeline, sim::SimHost& host,
                        std::size_t ticks_per_period, const std::string& blob);
-
-/// FNV-1a 64-bit over `text` — the envelope's integrity hash.
-std::uint64_t fnv1a64(std::string_view text);
 
 /// Deterministically flips one body byte in a stored blob so the next
 /// restore fails its checksum — how the CheckpointCorrupt fault models

@@ -4,16 +4,15 @@
 #include <sstream>
 #include <utility>
 
-#include "core/checkpoint.hpp"
 #include "util/check.hpp"
-#include "util/strings.hpp"
+#include "util/envelope.hpp"
 
 namespace stayaway::core::cluster {
 
 namespace {
 
-constexpr std::string_view kHeaderLine = "stayaway-coordinator v1";
-constexpr std::string_view kChecksumKey = "checksum = ";
+constexpr std::string_view kMagic = "stayaway-coordinator";
+constexpr std::uint64_t kVersion = 1;
 
 }  // namespace
 
@@ -307,49 +306,16 @@ void ClusterCoordinator::load_state(util::StateReader& r) {
 }
 
 std::string encode_coordinator(const ClusterCoordinator& coordinator) {
-  std::ostringstream body_out;
-  util::StateWriter w(body_out);
+  std::ostringstream body;
+  util::StateWriter w(body);
   coordinator.save_state(w);
-  std::string body = body_out.str();
-
-  std::ostringstream out;
-  out << kHeaderLine << '\n' << body << kChecksumKey << fnv1a64(body) << '\n';
-  return out.str();
+  return util::seal_envelope(kMagic, kVersion, body.str());
 }
 
 void restore_coordinator(ClusterCoordinator& coordinator,
                          const std::string& blob) {
-  std::size_t header_end = blob.find('\n');
-  if (header_end == std::string::npos ||
-      std::string_view(blob).substr(0, header_end) != kHeaderLine) {
-    throw util::StateCodecError("not a stayaway coordinator checkpoint");
-  }
-  if (blob.back() != '\n') {
-    throw util::StateCodecError(
-        "truncated coordinator checkpoint: missing trailing newline");
-  }
-  std::size_t trailer_start = blob.rfind('\n', blob.size() - 2);
-  if (trailer_start == std::string::npos || trailer_start < header_end) {
-    throw util::StateCodecError("truncated coordinator checkpoint: no body");
-  }
-  ++trailer_start;
-  std::string_view trailer = std::string_view(blob).substr(
-      trailer_start, blob.size() - trailer_start - 1);
-  if (trailer.substr(0, kChecksumKey.size()) != kChecksumKey) {
-    throw util::StateCodecError(
-        "truncated coordinator checkpoint: no checksum trailer");
-  }
-  std::uint64_t expected = 0;
-  if (!stayaway::parse_u64(std::string(trailer.substr(kChecksumKey.size())),
-                           expected)) {
-    throw util::StateCodecError("malformed coordinator checksum");
-  }
-  std::string_view body = std::string_view(blob).substr(
-      header_end + 1, trailer_start - header_end - 1);
-  if (fnv1a64(body) != expected) {
-    throw CheckpointChecksumError("coordinator checkpoint checksum mismatch");
-  }
-  std::istringstream in{std::string(body)};
+  std::istringstream in{
+      std::string(util::open_envelope(blob, kMagic, kVersion))};
   util::StateReader r(in);
   coordinator.load_state(r);
   if (in.peek() != std::istringstream::traits_type::eof()) {

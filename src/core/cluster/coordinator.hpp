@@ -159,8 +159,8 @@ class ClusterCoordinator {
 };
 
 /// Versioned, checksummed single-string encoding of the coordinator
-/// state — the cluster analogue of core/checkpoint.hpp's envelope
-/// (header `stayaway-coordinator v1`, fnv1a64 trailer).
+/// state, in the same util/envelope.hpp framing as the per-host
+/// checkpoint (header `stayaway-coordinator v1`, fnv1a64 trailer).
 std::string encode_coordinator(const ClusterCoordinator& coordinator);
 
 /// Decodes `blob` into a freshly wired coordinator (same hosts, same

@@ -190,7 +190,7 @@ void FleetController::recover(Member& member,
   std::vector<std::string> history;
   history.reserve(member.pipeline->records().size());
   for (const PeriodRecord& rec : member.pipeline->records()) {
-    history.push_back(encode_record(rec));
+    history.push_back(serialize_period_record(rec));
   }
   // Newest usable checkpoint wins. A checkpoint that fails to restore is
   // dropped for good (it will not get better); with none left the member
@@ -251,7 +251,7 @@ void FleetController::recover(Member& member,
     if (member.replay_directives) member.replay_directives(q);
     member.host->run(member.ticks_per_period);
     const PeriodRecord& rec = member.pipeline->on_period();
-    if (q >= history.size() || encode_record(rec) != history[q]) {
+    if (q >= history.size() || serialize_period_record(rec) != history[q]) {
       ++member.recovery.divergences;
     }
   }

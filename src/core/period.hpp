@@ -3,10 +3,14 @@
 // machine the pipeline threads through them, and the passive
 // prediction-accuracy tally. Split out of runtime.hpp so stage
 // implementations (src/core/stages/) can speak the record vocabulary
-// without seeing the host or the monolithic runtime.
+// without seeing the host or the monolithic runtime. The record's one
+// text codec (serialize_period_record / parse_period_record) lives here
+// too: the run-log, the checkpoint body and the supervisor's gap-replay
+// divergence check all speak it (DESIGN.md §14, §17).
 #pragma once
 
 #include <cstddef>
+#include <string>
 
 #include "core/governor.hpp"
 #include "mds/point.hpp"
@@ -67,7 +71,7 @@ struct PeriodRecord {
   // --- Streaming-ingestion telemetry (DESIGN.md §15). Filled only by a
   // streaming SampleSource; the synchronous path leaves all four at 0,
   // so its serialized records stay byte-identical to the historical
-  // format (the run-log emits this block only when any field is set). --
+  // format (the codec emits this block only when any field is set). ----
   std::size_t samples_ingested = 0;   // samples drained this period
   std::size_t late_samples = 0;       // out-of-order arrivals admitted
   std::size_t duplicate_samples = 0;  // repeat deliveries dropped
@@ -76,7 +80,7 @@ struct PeriodRecord {
   // --- Cluster telemetry (DESIGN.md §18). Filled only when a
   // ClusterCoordinator is active; coordinator-off runs leave both at 0,
   // so their serialized records stay byte-identical to the historical
-  // format (the run-log emits this block only when any field is set). --
+  // format (the codec emits this block only when any field is set). ----
   std::size_t migrations_out = 0;  // batch VMs detached this period
   std::size_t migrations_in = 0;   // batch VMs attached this period
 
@@ -92,6 +96,18 @@ struct PeriodRecord {
 
   bool operator==(const PeriodRecord& o) const = default;
 };
+
+/// Canonical single-line form of a PeriodRecord (`t=.. mode=.. x=..`),
+/// with exact-round-trip doubles (format_double_exact, non-finite
+/// included). parse_period_record inverts it field for field, so byte
+/// equality of lines is equivalent to field equality — exact even on
+/// NaN coordinates, where operator== would lie.
+std::string serialize_period_record(const PeriodRecord& rec);
+
+/// Inverse of serialize_period_record; throws PreconditionError on a
+/// malformed line (wrong field order, unknown key, bad number,
+/// out-of-range enum).
+PeriodRecord parse_period_record(const std::string& line);
 
 /// Passive prediction-vs-outcome tallies: each period's forecast ("will
 /// the execution progress into the violation region?") scored against the

@@ -1,6 +1,7 @@
 #include "harness/scenario_file.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <istream>
 #include <set>
 
@@ -40,13 +41,19 @@ bool parse_bool(std::size_t line, const std::string& value) {
   fail(line, "expected true/false, got '" + value + "'");
 }
 
-std::uint64_t parse_seed(std::size_t line, const std::string& value) {
-  // Plain decimal covers the full 64-bit range; the double fallback
-  // keeps forms like `seed = 1e6` working but truncates above 2^53 —
-  // recorded scenarios always use the exact decimal form.
-  std::uint64_t seed = 0;
-  if (parse_u64(value, seed)) return seed;
-  return static_cast<std::uint64_t>(parse_double(line, value));
+/// Every integer-valued key (counts and seeds) parses through here, so
+/// `nan`, `-1` or `1e300` fail on their line instead of reaching an
+/// undefined float-to-integer cast. Plain decimal covers the full 64-bit
+/// range; forms like `seed = 1e6` keep working but round above 2^53 —
+/// recorded scenarios always use the exact decimal form.
+std::uint64_t parse_count_at(std::size_t line, const std::string& value,
+                             std::uint64_t max = SIZE_MAX) {
+  std::uint64_t n = 0;
+  if (!parse_count(value, max, n)) {
+    fail(line, "expected a finite, non-negative, in-range count, got '" +
+                   value + "'");
+  }
+  return n;
 }
 
 /// Truncates `line` at the first '#' that is not inside a double-quoted
@@ -201,7 +208,7 @@ void ParserState::consume(std::size_t line_no, const std::string& key,
       } else if (key == "sensitive_start_s") {
         spec.sensitive_start_s = parse_double(line_no, value);
       } else if (key == "seed") {
-        spec.seed = parse_seed(line_no, value);
+        spec.seed = parse_count_at(line_no, value, UINT64_MAX);
       } else if (key == "workload") {
         if (value != "constant" && value != "diurnal") {
           fail(line_no, "workload must be 'constant' or 'diurnal'");
@@ -212,8 +219,7 @@ void ParserState::consume(std::size_t line_no, const std::string& key,
       } else if (key == "dedup_epsilon") {
         spec.stayaway.dedup_epsilon = parse_double(line_no, value);
       } else if (key == "prediction_samples") {
-        spec.stayaway.prediction_samples =
-            static_cast<std::size_t>(parse_double(line_no, value));
+        spec.stayaway.prediction_samples = parse_count_at(line_no, value);
       } else if (key == "beta_initial") {
         spec.stayaway.governor.beta_initial = parse_double(line_no, value);
       } else if (key == "beta_increment") {
@@ -262,8 +268,7 @@ void ParserState::consume(std::size_t line_no, const std::string& key,
       } else if (key == "ingest_rate_hz") {
         spec.stayaway.ingest.rate_hz = parse_double(line_no, value);
       } else if (key == "ingest_ring_capacity") {
-        spec.stayaway.ingest.ring_capacity =
-            static_cast<std::size_t>(parse_double(line_no, value));
+        spec.stayaway.ingest.ring_capacity = parse_count_at(line_no, value);
       } else if (key == "ingest_lookahead_s") {
         spec.stayaway.ingest.lookahead_s = parse_double(line_no, value);
       } else if (key == "ingest_burst_rate_hz") {
@@ -302,7 +307,7 @@ void ParserState::consume(std::size_t line_no, const std::string& key,
       } else if (key == "fault") {
         fault_specs.push_back(sim::parse_fault_spec(value, line_no));
       } else if (key == "fault_seed") {
-        fault_seed = parse_seed(line_no, value);
+        fault_seed = parse_count_at(line_no, value, UINT64_MAX);
       } else if (key == "compare") {
         scenario.compare = parse_bool(line_no, value);
       } else if (key == "template_in") {
@@ -369,11 +374,9 @@ void consume_cluster_key(std::size_t line_no, const std::string& key,
   } else if (key == "admit_margin") {
     cluster.config.admit_margin = parse_double(line_no, value);
   } else if (key == "admit_patience") {
-    cluster.config.admit_patience =
-        static_cast<std::size_t>(parse_double(line_no, value));
+    cluster.config.admit_patience = parse_count_at(line_no, value);
   } else if (key == "migration_cooldown") {
-    cluster.config.migration_cooldown =
-        static_cast<std::size_t>(parse_double(line_no, value));
+    cluster.config.migration_cooldown = parse_count_at(line_no, value);
   } else if (key == "admit_footprint") {
     cluster.config.admit_footprint = parse_double(line_no, value);
   } else if (key == "mobile") {
@@ -522,9 +525,8 @@ FleetScenario parse_fleet_scenario(std::istream& in) {
       if (seen_workers) fail(line_no, "duplicate key 'workers'");
       seen_workers = true;
       fleet.fleet_syntax = true;
-      double v = parse_double(line_no, value);
-      if (v < 1.0) fail(line_no, "workers must be >= 1");
-      fleet.workers = static_cast<std::size_t>(v);
+      fleet.workers = parse_count_at(line_no, value);
+      if (fleet.workers < 1) fail(line_no, "workers must be >= 1");
       continue;
     }
 

@@ -22,7 +22,7 @@ void RunRecorder::record_period(const std::string& host,
   // Serialize outside the lock; only the append is serialized. Per-host
   // ordering is the controller's: one worker drives one member, so a
   // host's periods arrive in emission order.
-  std::string line = serialize_period_record(rec);
+  std::string line = core::serialize_period_record(rec);
   util::MutexLock lock(mutex_);
   for (HostStream& stream : streams_) {
     if (stream.name == host) {

@@ -25,12 +25,10 @@
 #include <string>
 #include <vector>
 
-#include "core/period.hpp"
-
 namespace stayaway::replay {
 
-/// One host's recorded stream: the serialized PeriodRecord lines in
-/// emission order.
+/// One host's recorded stream: the PeriodRecord lines
+/// (core::serialize_period_record) in emission order.
 struct HostStream {
   std::string name;
   std::vector<std::string> records;
@@ -48,15 +46,6 @@ struct RunLog {
   /// byte-diffs it like a host stream.
   std::vector<std::string> cluster_events;
 };
-
-/// Canonical single-line form of a PeriodRecord, with exact-round-trip
-/// doubles. parse_period_record inverts it field-for-field, so byte
-/// equality of lines is equivalent to PeriodRecord equality.
-std::string serialize_period_record(const core::PeriodRecord& rec);
-
-/// Inverse of serialize_period_record; throws PreconditionError on a
-/// malformed line (wrong field order, unknown key, bad number).
-core::PeriodRecord parse_period_record(const std::string& line);
 
 std::string serialize_run_log(const RunLog& log);
 

@@ -1,8 +1,8 @@
 #include "sim/faults.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
-#include <istream>
 #include <sstream>
 #include <utility>
 
@@ -43,13 +43,6 @@ bool is_sensor_fault(FaultKind kind) {
       return false;
   }
   return false;
-}
-
-std::string trim(const std::string& s) {
-  auto begin = s.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) return "";
-  auto end = s.find_last_not_of(" \t\r");
-  return s.substr(begin, end - begin + 1);
 }
 
 [[noreturn]] void fail(std::size_t line, const std::string& message) {
@@ -144,7 +137,7 @@ FaultKind fault_kind_from_string(const std::string& name) {
 }
 
 FaultSpec parse_fault_spec(const std::string& text, std::size_t line_no) {
-  std::istringstream in(trim(text));
+  std::istringstream in(text);
   std::string kind_name;
   in >> kind_name;
   if (kind_name.empty()) fail(line_no, "empty fault specification");
@@ -174,7 +167,16 @@ FaultSpec parse_fault_spec(const std::string& text, std::size_t line_no) {
     } else if (key == "mag") {
       spec.magnitude = parse_double(line_no, value);
     } else if (key == "dim") {
-      spec.dimension = static_cast<int>(parse_double(line_no, value));
+      // -1 selects every dimension; anything else is a 0-based index.
+      std::uint64_t dim = 0;
+      if (value == "-1") {
+        spec.dimension = -1;
+      } else if (parse_count(value, INT_MAX, dim)) {
+        spec.dimension = static_cast<int>(dim);
+      } else {
+        fail(line_no, "dim must be >= 0, or -1 for all; got '" + value +
+                          "'");
+      }
     } else {
       fail(line_no, "unknown fault key '" + key + "'");
     }
@@ -193,51 +195,6 @@ std::string to_spec_string(const FaultSpec& spec) {
   out += " mag=" + format_double_exact(spec.magnitude);
   out += " dim=" + std::to_string(spec.dimension);
   return out;
-}
-
-FaultPlan parse_fault_plan(std::istream& in) {
-  FaultPlan plan;
-  bool seed_seen = false;
-  std::string raw;
-  std::size_t line_no = 0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    std::string line = raw;
-    auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (in.eof() && !line.empty()) {
-      // getline hit end-of-input before a delimiter: the final line was
-      // cut mid-record (a partial write or truncated download). Silently
-      // accepting it would half-apply a plan, so fail loudly instead; an
-      // unterminated blank or comment line is harmless.
-      fail(line_no, "truncated final line (missing trailing newline)");
-    }
-    if (line.empty()) continue;
-
-    auto eq = line.find('=');
-    if (eq == std::string::npos) fail(line_no, "expected 'key = value'");
-    std::string key = trim(line.substr(0, eq));
-    std::string value = trim(line.substr(eq + 1));
-    if (key.empty()) fail(line_no, "empty key");
-    if (value.empty()) fail(line_no, "empty value for '" + key + "'");
-
-    if (key == "seed") {
-      if (seed_seen) fail(line_no, "duplicate key 'seed'");
-      seed_seen = true;
-      // Plain decimal parses the full 64-bit range; going through a
-      // double truncates every seed above 2^53. The double fallback
-      // keeps historical forms like `seed = 1e6` working.
-      if (!parse_u64(value, plan.seed)) {
-        plan.seed = static_cast<std::uint64_t>(parse_double(line_no, value));
-      }
-    } else if (key == "fault") {
-      plan.faults.push_back(parse_fault_spec(value, line_no));
-    } else {
-      fail(line_no, "unknown key '" + key + "'");
-    }
-  }
-  return plan;
 }
 
 FaultInjector::FaultInjector(FaultPlan plan)

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <string>
 #include <vector>
@@ -80,7 +79,8 @@ struct FaultSpec {
 };
 
 /// A seeded, declarative fault schedule. The seed is part of the plan so
-/// a plan file fully determines the injected fault stream.
+/// a plan (a scenario's `fault_seed` + `fault` lines) fully determines
+/// the injected fault stream.
 struct FaultPlan {
   std::uint64_t seed = 1;
   std::vector<FaultSpec> faults;
@@ -100,18 +100,6 @@ FaultSpec parse_fault_spec(const std::string& text, std::size_t line_no);
 /// an unbounded window). parse_fault_spec(to_spec_string(s)) == s for
 /// every valid spec — the recorder serializes fault plans through this.
 std::string to_spec_string(const FaultSpec& spec);
-
-/// Parses the fault-plan text format consumed by `stayaway_sim --faults`:
-///
-///   # 20% sensor dropout while the batch job runs, then QoS blindness
-///   seed  = 7
-///   fault = sensor-dropout start=20 end=60 p=0.2
-///   fault = qos-blind      start=30 end=45
-///   fault = pause-fail     start=20 end=50 p=0.5
-///
-/// Unknown keys, unknown fault kinds and malformed values throw
-/// PreconditionError naming the offending line.
-FaultPlan parse_fault_plan(std::istream& in);
 
 /// What corrupt_sample did to one measurement.
 struct SensorFaultReport {

@@ -1,8 +1,7 @@
 // Typed key/value line codec for component state snapshots (DESIGN.md
 // §17). Checkpointable components serialize themselves through
-// StateWriter and rehydrate through StateReader; the checkpoint
-// envelope (versioning, checksum, per-host framing) lives in
-// core/checkpoint.hpp on top of this.
+// StateWriter and rehydrate through StateReader; the versioned,
+// checksummed framing around a body lives in util/envelope.hpp.
 //
 // Format: one `key = value` line per field, written and read in a
 // fixed order — the reader names the key it expects next and fails

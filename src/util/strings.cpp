@@ -45,6 +45,27 @@ bool parse_u64(const std::string& text, std::uint64_t& out) {
   return true;
 }
 
+bool parse_count(const std::string& text, std::uint64_t max,
+                 std::uint64_t& out) {
+  std::uint64_t n = 0;
+  if (!parse_u64(text, n)) {
+    if (text.empty()) return false;
+    const char* begin = text.c_str();
+    char* end = nullptr;
+    double v = std::strtod(begin, &end);
+    // 2^64 is the first double the cast below could not represent; the
+    // negated comparison also rejects NaN.
+    if (end != begin + text.size() || !(v >= 0.0) ||
+        v >= 18446744073709551616.0) {
+      return false;
+    }
+    n = static_cast<std::uint64_t>(v);
+  }
+  if (n > max) return false;
+  out = n;
+  return true;
+}
+
 std::string pad_left(const std::string& s, std::size_t width) {
   if (s.size() >= width) return s;
   return std::string(width - s.size(), ' ') + s;

@@ -21,6 +21,14 @@ std::string format_double_exact(double v);
 /// rather than a double parse — a 64-bit seed truncates above 2^53.
 bool parse_u64(const std::string& text, std::uint64_t& out);
 
+/// Parses a count into out: plain decimal over the full u64 range, or
+/// any strtod form ("1e6"; a fraction truncates toward zero) for
+/// hand-written configs. False when text is malformed, NaN, infinite,
+/// negative or above max — the check that keeps the integer cast
+/// defined.
+bool parse_count(const std::string& text, std::uint64_t max,
+                 std::uint64_t& out);
+
 /// Left-pads s with spaces to the given width.
 std::string pad_left(const std::string& s, std::size_t width);
 

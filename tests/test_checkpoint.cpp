@@ -1,6 +1,7 @@
 // Checkpoint/restore and supervised crash-recovery tests (DESIGN.md
 // §17): the record codec's exactness on non-finite values, the envelope's
-// typed rejection of version/integrity/truncation damage, full-pipeline
+// typed rejection of version/integrity/truncation/malformed-record
+// damage, full-pipeline
 // round trips through edge states (empty representative set, mid-retry
 // actuation ledger, Failsafe degradation), and the load-bearing golden
 // guarantee — a run that crashes, restores and replays its tail is
@@ -22,7 +23,7 @@
 #include "harness/scenario_file.hpp"
 #include "replay/replay.hpp"
 #include "sim/faults.hpp"
-#include "util/statecodec.hpp"
+#include "util/envelope.hpp"
 
 namespace stayaway::harness {
 namespace {
@@ -60,14 +61,15 @@ sim::FaultPlan stress_plan() {
   return plan;
 }
 
-/// Byte-level record comparison: encode_record is exact on NaN where
+/// Byte-level record comparison: the record line is exact on NaN where
 /// operator== would lie.
 void expect_records_byte_identical(
     const std::vector<core::PeriodRecord>& got,
     const std::vector<core::PeriodRecord>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(core::encode_record(got[i]), core::encode_record(want[i]))
+    EXPECT_EQ(core::serialize_period_record(got[i]),
+              core::serialize_period_record(want[i]))
         << "period " << i;
   }
 }
@@ -99,37 +101,11 @@ TEST(CheckpointRecordCodec, NonFiniteCoordsRoundTripExactly) {
   rec.actuation_retries = 2;
   rec.actuation_pending = true;
 
-  std::string text = core::encode_record(rec);
-  std::istringstream in(text);
-  util::StateReader r(in);
-  core::PeriodRecord back = core::read_period_record(r);
-  EXPECT_EQ(core::encode_record(back), text);
+  std::string text = core::serialize_period_record(rec);
+  core::PeriodRecord back = core::parse_period_record(text);
+  EXPECT_EQ(core::serialize_period_record(back), text);
   EXPECT_TRUE(std::isnan(back.state.x));
   EXPECT_TRUE(std::isinf(back.state.y));
-}
-
-TEST(CheckpointRecordCodec, RejectsOutOfRangeEnums) {
-  core::PeriodRecord rec;
-  std::string text = core::encode_record(rec);
-  auto tamper = [&text](const std::string& key, const std::string& value) {
-    std::string out;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.rfind(key + " = ", 0) == 0) line = key + " = " + value;
-      out += line;
-      out += '\n';
-    }
-    return out;
-  };
-  for (const auto& [key, value] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"mode", "9"}, {"action", "7"}, {"degradation", "5"}}) {
-    std::istringstream in(tamper(key, value));
-    util::StateReader r(in);
-    EXPECT_THROW(core::read_period_record(r), util::StateCodecError)
-        << key << " = " << value << " accepted";
-  }
 }
 
 // --- Envelope rejection -----------------------------------------------
@@ -141,18 +117,64 @@ std::string sample_blob() {
   return run_supervised(spec).final_checkpoint;
 }
 
+/// Rewrites one field of the first `record = ` line of `blob` and
+/// re-seals it, so the damage gets past the checksum and reaches the
+/// record decoder.
+std::string tamper_first_record(const std::string& blob,
+                                const std::string& key,
+                                const std::string& value) {
+  const std::string magic = "stayaway-checkpoint";
+  std::string body(util::open_envelope(blob, magic, core::kCheckpointVersion));
+  const std::string marker = "\nrecord = ";
+  std::size_t start = body.find(marker) + marker.size();
+  std::size_t end = body.find('\n', start);
+  std::istringstream fields(body.substr(start, end - start));
+  std::string line;
+  std::string token;
+  while (fields >> token) {
+    if (token.rfind(key + "=", 0) == 0) token = key + "=" + value;
+    line += (line.empty() ? "" : " ") + token;
+  }
+  body.replace(start, end - start, line);
+  return util::seal_envelope(magic, core::kCheckpointVersion, body);
+}
+
+TEST(CheckpointRecordCodec, RejectsOutOfRangeEnums) {
+  // A checksum-consistent blob whose record line is malformed is still
+  // checkpoint damage: restore reports util::StateCodecError (which the
+  // supervisor drops), never a stray PreconditionError.
+  std::string blob = sample_blob();
+  ExperimentSpec spec = short_spec();
+  spec.duration_s = 12.0;
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"mode", "9"}, {"act", "7"}, {"deg", "5"}, {"t", "abc"}}) {
+    HostRig rig = build_host_rig(spec);
+    core::HostPipeline pipeline(*rig.host, *rig.probe,
+                                derive_stayaway_config(spec));
+    EXPECT_THROW(core::restore_checkpoint(
+                     pipeline, tamper_first_record(blob, key, value)),
+                 util::StateCodecError)
+        << key << "=" << value << " accepted";
+  }
+}
+
 TEST(CheckpointEnvelope, VersionMismatchIsItsOwnError) {
   std::string blob = sample_blob();
-  ASSERT_NE(blob.find("stayaway-checkpoint v2\n"), std::string::npos);
+  const std::string current =
+      "stayaway-checkpoint v" + std::to_string(core::kCheckpointVersion);
+  ASSERT_EQ(blob.rfind(current + "\n", 0), 0u);
   std::string wrong = blob;
-  wrong.replace(wrong.find("v2\n"), 3, "v3\n");
+  wrong.replace(0, current.size(),
+                "stayaway-checkpoint v" +
+                    std::to_string(core::kCheckpointVersion - 1));
 
   ExperimentSpec spec = short_spec();
   spec.duration_s = 12.0;
   FleetSpec fleet;
   fleet.hosts.push_back({"solo", spec});
   fleet.restore["solo"] = wrong;
-  EXPECT_THROW(run_fleet(fleet), core::CheckpointVersionError);
+  EXPECT_THROW(run_fleet(fleet), util::EnvelopeVersionError);
 }
 
 TEST(CheckpointEnvelope, ChecksumMismatchIsItsOwnError) {
@@ -164,7 +186,7 @@ TEST(CheckpointEnvelope, ChecksumMismatchIsItsOwnError) {
   FleetSpec fleet;
   fleet.hosts.push_back({"solo", spec});
   fleet.restore["solo"] = blob;
-  EXPECT_THROW(run_fleet(fleet), core::CheckpointChecksumError);
+  EXPECT_THROW(run_fleet(fleet), util::EnvelopeChecksumError);
 }
 
 TEST(CheckpointEnvelope, TruncationAndTrailingGarbageRejected) {
@@ -174,7 +196,9 @@ TEST(CheckpointEnvelope, TruncationAndTrailingGarbageRejected) {
 
   for (const std::string& damaged :
        {blob.substr(0, blob.size() - 10), blob.substr(0, blob.size() / 2),
-        blob + "extra = 1\n", std::string("stayaway-checkpoint v2\n")}) {
+        blob + "extra = 1\n",
+        "stayaway-checkpoint v" + std::to_string(core::kCheckpointVersion) +
+            "\n"}) {
     FleetSpec fleet;
     fleet.hosts.push_back({"solo", spec});
     fleet.restore["solo"] = damaged;

@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.hpp"
 #include "core/cluster/score.hpp"
+#include "core/period.hpp"
 #include "harness/fleet.hpp"
 #include "harness/scenario_file.hpp"
 #include "replay/replay.hpp"
@@ -111,7 +111,8 @@ void expect_host_records_identical(const FleetResult& got,
     ASSERT_EQ(a.size(), b.size()) << got.hosts[h].name;
     for (std::size_t i = 0; i < a.size(); ++i) {
       if (i == skip) continue;
-      EXPECT_EQ(core::encode_record(a[i]), core::encode_record(b[i]))
+      EXPECT_EQ(core::serialize_period_record(a[i]),
+                core::serialize_period_record(b[i]))
           << got.hosts[h].name << " period " << i;
     }
   }
@@ -280,19 +281,19 @@ TEST(ClusterRunLog, PeriodRecordClusterFieldsRoundTrip) {
   rec.time = 3.0;
   rec.migrations_out = 1;
   rec.migrations_in = 2;
-  std::string line = replay::serialize_period_record(rec);
+  std::string line = core::serialize_period_record(rec);
   EXPECT_NE(line.find("migout=1"), std::string::npos);
   EXPECT_NE(line.find("migin=2"), std::string::npos);
-  core::PeriodRecord back = replay::parse_period_record(line);
+  core::PeriodRecord back = core::parse_period_record(line);
   EXPECT_EQ(back, rec);
-  EXPECT_EQ(replay::serialize_period_record(back), line);
+  EXPECT_EQ(core::serialize_period_record(back), line);
 
   // Cluster-free records keep the pre-cluster line format: the trailing
   // block is all-or-nothing, so old logs parse and new logs of plain
   // runs are byte-identical to what the seed wrote.
   rec.migrations_out = 0;
   rec.migrations_in = 0;
-  EXPECT_EQ(replay::serialize_period_record(rec).find("migout"),
+  EXPECT_EQ(core::serialize_period_record(rec).find("migout"),
             std::string::npos);
 }
 

@@ -11,11 +11,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/checkpoint.hpp"
 #include "core/fleet.hpp"
 #include "harness/fleet.hpp"
 #include "obs/events.hpp"
 #include "obs/observer.hpp"
+#include "util/envelope.hpp"
 #include "util/statecodec.hpp"
 #include "util/thread_pool.hpp"
 
@@ -52,8 +52,41 @@ sim::FaultPlan stress_plan() {
   return plan;
 }
 
+/// The reference record encoding the golden digests were captured with:
+/// every PeriodRecord field as its own `key = value` line, in the order
+/// the v2 checkpoint body wrote them. Kept here verbatim so the digests
+/// stay pinned independently of the production codec.
+void write_reference_record(util::StateWriter& w,
+                            const core::PeriodRecord& rec) {
+  w.real("time", rec.time);
+  w.u64("mode", static_cast<std::uint64_t>(rec.mode));
+  w.real("x", rec.state.x);
+  w.real("y", rec.state.y);
+  w.u64("representative", rec.representative);
+  w.boolean("new_representative", rec.new_representative);
+  w.boolean("violation_observed", rec.violation_observed);
+  w.boolean("violation_predicted", rec.violation_predicted);
+  w.boolean("model_ready", rec.model_ready);
+  w.u64("action", static_cast<std::uint64_t>(rec.action));
+  w.boolean("batch_paused_after", rec.batch_paused_after);
+  w.real("stress", rec.stress);
+  w.real("beta", rec.beta);
+  w.u64("degradation", static_cast<std::uint64_t>(rec.degradation));
+  w.u64("quarantined_dims", rec.quarantined_dims);
+  w.u64("max_staleness", rec.max_staleness);
+  w.boolean("qos_visible", rec.qos_visible);
+  w.u64("actuation_retries", rec.actuation_retries);
+  w.boolean("actuation_pending", rec.actuation_pending);
+  w.u64("samples_ingested", rec.samples_ingested);
+  w.u64("late_samples", rec.late_samples);
+  w.u64("duplicate_samples", rec.duplicate_samples);
+  w.u64("overflow_drops", rec.overflow_drops);
+  w.u64("migrations_out", rec.migrations_out);
+  w.u64("migrations_in", rec.migrations_in);
+}
+
 /// One FNV-1a digest over everything a run produces: every PeriodRecord
-/// in its checkpoint encoding, every per-period series and every
+/// in the reference encoding, every per-period series and every
 /// aggregate, so any drift in any field changes the digest.
 std::uint64_t result_digest(const ExperimentResult& r) {
   auto flags = [](const std::vector<int>& v) {
@@ -63,7 +96,7 @@ std::uint64_t result_digest(const ExperimentResult& r) {
   util::StateWriter w(out);
   w.u64("records", r.stayaway_records.size());
   for (const core::PeriodRecord& rec : r.stayaway_records) {
-    core::write_period_record(w, rec);
+    write_reference_record(w, rec);
   }
   w.reals("time", r.time);
   w.reals("qos", r.qos);
@@ -96,7 +129,7 @@ std::uint64_t result_digest(const ExperimentResult& r) {
     w.real("x", p.x);
     w.real("y", p.y);
   }
-  return core::fnv1a64(out.str());
+  return util::fnv1a64(out.str());
 }
 
 TEST(FleetHostSeed, SplitsAreDeterministicAndDecorrelated) {

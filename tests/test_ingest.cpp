@@ -329,9 +329,9 @@ TEST(RunLogIngest, RecordRoundTripsWithIngestFields) {
   rec.late_samples = 2;
   rec.duplicate_samples = 1;
   rec.overflow_drops = 3;
-  std::string line = replay::serialize_period_record(rec);
+  std::string line = core::serialize_period_record(rec);
   EXPECT_NE(line.find(" ing="), std::string::npos);
-  core::PeriodRecord back = replay::parse_period_record(line);
+  core::PeriodRecord back = core::parse_period_record(line);
   EXPECT_TRUE(back == rec);
 }
 
@@ -339,11 +339,11 @@ TEST(RunLogIngest, SynchronousRecordLineIsByteIdenticalToHistoricalForm) {
   core::PeriodRecord rec;
   rec.time = 12.0;
   rec.beta = 0.05;
-  std::string line = replay::serialize_period_record(rec);
+  std::string line = core::serialize_period_record(rec);
   // No ingest block: a pre-streaming parser would still read this line.
   EXPECT_EQ(line.find(" ing="), std::string::npos);
   EXPECT_EQ(line.find(" ovf="), std::string::npos);
-  core::PeriodRecord back = replay::parse_period_record(line);
+  core::PeriodRecord back = core::parse_period_record(line);
   EXPECT_TRUE(back == rec);
 }
 

@@ -70,12 +70,12 @@ harness::FleetScenario parse_doc(const std::string& text) {
 
 TEST(RunLogRecord, LineRoundTripsFieldForField) {
   core::PeriodRecord rec = sample_record();
-  std::string line = serialize_period_record(rec);
-  core::PeriodRecord back = parse_period_record(line);
+  std::string line = core::serialize_period_record(rec);
+  core::PeriodRecord back = core::parse_period_record(line);
   EXPECT_EQ(back, rec);
   // Byte equality of lines is the replay comparison primitive; it must
   // be stable under a second trip.
-  EXPECT_EQ(serialize_period_record(back), line);
+  EXPECT_EQ(core::serialize_period_record(back), line);
 }
 
 TEST(RunLogRecord, NonFiniteValuesRoundTripExactly) {
@@ -83,26 +83,41 @@ TEST(RunLogRecord, NonFiniteValuesRoundTripExactly) {
   rec.state.x = std::numeric_limits<double>::quiet_NaN();
   rec.state.y = std::numeric_limits<double>::infinity();
   rec.stress = -std::numeric_limits<double>::infinity();
-  std::string line = serialize_period_record(rec);
-  core::PeriodRecord back = parse_period_record(line);
+  std::string line = core::serialize_period_record(rec);
+  core::PeriodRecord back = core::parse_period_record(line);
   EXPECT_TRUE(std::isnan(back.state.x));
   EXPECT_EQ(back.state.y, std::numeric_limits<double>::infinity());
   EXPECT_EQ(back.stress, -std::numeric_limits<double>::infinity());
   // NaN breaks operator==, so the byte-level identity is the contract.
-  EXPECT_EQ(serialize_period_record(back), line);
+  EXPECT_EQ(core::serialize_period_record(back), line);
 }
 
 TEST(RunLogRecord, RejectsMalformedLines) {
-  std::string good = serialize_period_record(sample_record());
-  EXPECT_THROW(parse_period_record("t=1 bogus=2"), PreconditionError);
-  EXPECT_THROW(parse_period_record(good + " extra=1"), PreconditionError);
-  EXPECT_THROW(parse_period_record("t=1"), PreconditionError);
-  EXPECT_THROW(parse_period_record(""), PreconditionError);
-  // Out-of-range enums must not alias a valid state.
-  std::string bad_mode = good;
-  std::size_t pos = bad_mode.find("mode=");
-  bad_mode[pos + 5] = '9';
-  EXPECT_THROW(parse_period_record(bad_mode), PreconditionError);
+  std::string good = core::serialize_period_record(sample_record());
+  EXPECT_THROW(core::parse_period_record("t=1 bogus=2"), PreconditionError);
+  EXPECT_THROW(core::parse_period_record(good + " extra=1"),
+               PreconditionError);
+  EXPECT_THROW(core::parse_period_record("t=1"), PreconditionError);
+  EXPECT_THROW(core::parse_period_record(""), PreconditionError);
+  // Out-of-range enums must not alias a valid state, and a bad number is
+  // a PreconditionError like every other malformed field.
+  auto with = [&good](const std::string& key, const std::string& value) {
+    std::istringstream in(good);
+    std::string line;
+    std::string token;
+    while (in >> token) {
+      if (token.rfind(key + "=", 0) == 0) token = key + "=" + value;
+      line += (line.empty() ? "" : " ") + token;
+    }
+    return line;
+  };
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"mode", "9"}, {"act", "7"}, {"deg", "5"}, {"t", "abc"}}) {
+    EXPECT_THROW(core::parse_period_record(with(key, value)),
+                 PreconditionError)
+        << key << "=" << value << " accepted";
+  }
 }
 
 TEST(RunLogDocument, RoundTripsThroughParse) {
@@ -110,7 +125,7 @@ TEST(RunLogDocument, RoundTripsThroughParse) {
   log.detector = "beta-out-of-band";
   log.scenario_text = "sensitive = vlc-stream\nbatch = cpubomb\n";
   log.hosts.push_back(
-      {"web-a", {serialize_period_record(sample_record())}});
+      {"web-a", {core::serialize_period_record(sample_record())}});
   log.hosts.push_back({"web-b", {}});
 
   std::string text = serialize_run_log(log);
@@ -217,7 +232,7 @@ TEST(Replay, RecorderIsPassive) {
     std::vector<std::string> lines;
     for (const core::PeriodRecord& rec :
          bare.hosts[h].result.stayaway_records) {
-      lines.push_back(serialize_period_record(rec));
+      lines.push_back(core::serialize_period_record(rec));
     }
     EXPECT_EQ(recorded.log.hosts[h].records, lines);
   }

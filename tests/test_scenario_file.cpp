@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "harness/scenario_file.hpp"
 #include "monitor/measurement.hpp"
@@ -204,6 +205,50 @@ TEST(ScenarioFile, RejectsMalformedVmAndMetricValues) {
   EXPECT_THROW(parse("metrics = cpu,,mem\n"), PreconditionError);
   // Repeating a non-list key is still rejected even though fault/vm repeat.
   EXPECT_THROW(parse("fault_seed = 1\nfault_seed = 2\n"), PreconditionError);
+}
+
+TEST(ScenarioFile, FaultLinesTakeTrailingComments) {
+  // The scenario's fault keys are the one fault-plan syntax: a comment
+  // after a spec and an open-ended window both parse.
+  Scenario s = parse(R"(# comment
+fault_seed = 9
+fault = sensor-dropout start=20 end=60 p=0.2
+fault = qos-blind start=30 end=45   # trailing comment
+fault = pause-fail p=0.5
+)");
+  ASSERT_TRUE(s.spec.faults.has_value());
+  EXPECT_EQ(s.spec.faults->seed, 9u);
+  ASSERT_EQ(s.spec.faults->faults.size(), 3u);
+  EXPECT_EQ(s.spec.faults->faults[0].kind, sim::FaultKind::SensorDropout);
+  EXPECT_EQ(s.spec.faults->faults[1].kind, sim::FaultKind::QosBlind);
+  EXPECT_DOUBLE_EQ(s.spec.faults->faults[1].end_s, 45.0);
+  EXPECT_EQ(s.spec.faults->faults[2].kind, sim::FaultKind::PauseFail);
+}
+
+TEST(ScenarioFile, IntegerKeysRejectNanNegativeAndHugeValues) {
+  // Every integer-valued key must fail on its own line instead of
+  // reaching an undefined float-to-integer cast (fault `dim` is covered
+  // by FaultSpecParse.ErrorsNameTheLine).
+  for (const std::string prefix :
+       {"workers = ", "seed = ", "fault_seed = ", "prediction_samples = ",
+        "ingest_ring_capacity = ", "[cluster]\nadmit_patience = ",
+        "[cluster]\nmigration_cooldown = "}) {
+    for (const char* value : {"nan", "-1", "1e300"}) {
+      std::string doc = "sensitive = vlc-stream\n" + prefix + value +
+                        "\n[host \"a\"]\n";
+      std::string line = prefix[0] == '[' ? "line 3" : "line 2";
+      try {
+        parse_fleet(doc);
+        ADD_FAILURE() << "accepted: " << prefix << value;
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // Integral forms still parse.
+  Scenario integral = parse("prediction_samples = 1e1\n");
+  EXPECT_EQ(integral.spec.stayaway.prediction_samples, 10u);
 }
 
 TEST(ScenarioFile, FaultedScenarioActuallyRuns) {

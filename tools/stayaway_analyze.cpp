@@ -383,9 +383,10 @@ const std::map<std::string, std::set<std::string>>& layering() {
         "checkpoint"}},
       {"checkpoint", {"util", "core"}},
       // The coordinator scores and migrates across HostPipelines: core
-      // (pipeline seam, stages, statespace) and the checkpoint codec —
-      // but never sim (see the cluster-isolation rule).
-      {"cluster", {"util", "core", "checkpoint"}},
+      // (pipeline seam, stages, statespace) — never sim (see the
+      // cluster-isolation rule) and never the per-host checkpoint (its
+      // own blob is framed by util/envelope.hpp).
+      {"cluster", {"util", "core"}},
       {"baseline", {"util", "sim", "core"}},
       {"replay", {"util", "core", "harness"}},
       {"harness",
@@ -1075,9 +1076,12 @@ std::vector<Fixture> self_test_fixtures() {
                {"cluster-isolation"}});
   f.push_back({"cluster-include-core-ok", "src/core/cluster/inc16.cpp",
                "#include \"core/pipeline.hpp\"\n"
-               "#include \"core/checkpoint.hpp\"\n"
+               "#include \"util/envelope.hpp\"\n"
                "#include \"core/stages/stage.hpp\"\n",
                {}});
+  f.push_back({"cluster-include-checkpoint", "src/core/cluster/inc21.cpp",
+               "#include \"core/checkpoint.hpp\"\n",
+               {"layering"}});
   f.push_back({"cluster-include-harness", "src/core/cluster/inc17.cpp",
                "#include \"harness/fleet.hpp\"\n",
                {"layering"}});

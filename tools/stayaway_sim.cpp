@@ -9,11 +9,10 @@
 //                        pause/resume transitions)
 //   --metrics-out FILE   JSON metrics summary (counters/gauges/histograms)
 //
-// Fault injection (DESIGN.md §12):
-//   --faults FILE        deterministic fault plan applied to the primary
-//                        run (overrides the scenario's `fault =` lines);
-//                        format: `seed = 7` plus repeatable `fault =`
-//                        lines, see src/sim/faults.hpp
+// Fault injection (DESIGN.md §12) is part of the scenario: a
+// `fault_seed = 7` line plus repeatable `fault = <kind> start=.. end=..`
+// lines (src/harness/scenario_file.hpp). A single-host run prints the
+// plan it loaded before it starts.
 //
 // Multi-host fleets (DESIGN.md §13):
 //   --hosts N            replicate a plain scenario across N hosts with
@@ -57,8 +56,8 @@
 // Prints the QoS/utilization summary (and the full comparison when
 // `compare = true`), optionally saving the per-period series as CSV and
 // importing/exporting Stay-Away templates. Fleet runs print one summary
-// row per host; `compare`, templates, series CSV and --faults are
-// single-host features.
+// row per host; `compare`, templates and series CSV are single-host
+// features.
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -94,6 +93,11 @@ compare      = true              # also run no-prevention + isolated references
 # template_out = learned.template.csv
 # series_csv   = run_series.csv
 #
+# Fault injection: a seeded plan, one `fault =` line per window.
+# fault_seed = 7
+# fault = sensor-dropout start=20 end=60 p=0.2
+# fault = qos-blind      start=30 end=45
+#
 # Multi-host fleet: the keys above become the base every host inherits;
 # [host "name"] sections overlay it (scalars override, vm/fault append).
 # workers = 4
@@ -106,7 +110,7 @@ compare      = true              # also run no-prevention + isolated references
 
 constexpr const char* kUsage =
     "usage: stayaway_sim [--events-out FILE] [--metrics-out FILE]\n"
-    "                    [--faults FILE] [--hosts N] [--workers N]\n"
+    "                    [--hosts N] [--workers N]\n"
     "                    [--ingest-rate HZ] [--record FILE]\n"
     "                    [--supervise] [--checkpoint-every N]\n"
     "                    [--checkpoint-dir DIR] [--restore DIR]\n"
@@ -118,7 +122,6 @@ struct Options {
   std::string scenario;
   std::optional<std::string> events_out;
   std::optional<std::string> metrics_out;
-  std::optional<std::string> faults;
   std::optional<std::string> record;
   std::optional<std::string> replay;
   std::size_t hosts = 0;    // 0 = no replication requested
@@ -151,11 +154,8 @@ int run_single(stayaway::harness::Scenario scenario, const Options& opts) {
   using namespace stayaway;
   using namespace stayaway::harness;
 
-  if (opts.faults.has_value()) {
-    std::ifstream fin(*opts.faults);
-    SA_REQUIRE(fin.good(), "cannot open fault plan: " + *opts.faults);
-    scenario.spec.faults = sim::parse_fault_plan(fin);
-    std::cout << "fault plan loaded: " << *opts.faults << " ("
+  if (scenario.spec.faults.has_value() && !scenario.spec.faults->empty()) {
+    std::cout << "fault plan loaded: " << opts.scenario << " ("
               << scenario.spec.faults->faults.size() << " faults, seed "
               << scenario.spec.faults->seed << ")\n";
   }
@@ -285,9 +285,6 @@ int run_fleet_mode(const stayaway::harness::FleetScenario& doc,
   using namespace stayaway;
   using namespace stayaway::harness;
 
-  SA_REQUIRE(!opts.faults.has_value(),
-             "--faults applies to single-host runs; use per-host "
-             "`fault =` lines in the scenario");
   SA_REQUIRE(opts.hosts == 0 || doc.hosts.empty(),
              "--hosts replicates a plain scenario; this file already "
              "defines [host] sections");
@@ -464,9 +461,6 @@ int run_record_mode(const stayaway::harness::FleetScenario& doc,
   using namespace stayaway;
   using namespace stayaway::harness;
 
-  SA_REQUIRE(!opts.faults.has_value(),
-             "--record captures the scenario's own `fault =` lines; "
-             "--faults is unsupported");
   SA_REQUIRE(!opts.events_out.has_value() && !opts.metrics_out.has_value(),
              "--record runs unobserved; drop --events-out/--metrics-out");
   SA_REQUIRE(!opts.recovery_requested(),
@@ -617,7 +611,7 @@ int main(int argc, char** argv) {
           (value == "on");
       continue;
     }
-    if (arg == "--events-out" || arg == "--metrics-out" || arg == "--faults" ||
+    if (arg == "--events-out" || arg == "--metrics-out" ||
         arg == "--record" || arg == "--replay" || arg == "--hosts" ||
         arg == "--workers" || arg == "--ingest-rate" ||
         arg == "--checkpoint-every" || arg == "--checkpoint-dir" ||
@@ -631,8 +625,6 @@ int main(int argc, char** argv) {
         opts.events_out = argv[i];
       } else if (arg == "--metrics-out") {
         opts.metrics_out = argv[i];
-      } else if (arg == "--faults") {
-        opts.faults = argv[i];
       } else if (arg == "--record") {
         opts.record = argv[i];
       } else if (arg == "--replay") {
@@ -684,7 +676,7 @@ int main(int argc, char** argv) {
     have_scenario = true;
   }
   if (opts.replay.has_value()) {
-    if (have_scenario || opts.record.has_value() || opts.faults.has_value() ||
+    if (have_scenario || opts.record.has_value() ||
         opts.events_out.has_value() || opts.metrics_out.has_value() ||
         opts.hosts != 0 || opts.workers != 0 ||
         opts.ingest_rate.has_value() || opts.recovery_requested() ||
