@@ -56,6 +56,11 @@
 #                                -DSTAYAWAY_ANALYZE=ON build so Clang's
 #                                -Wthread-safety checks the SA_*
 #                                annotations (skipped otherwise)
+#   ./ci.sh --perf               whole-run benchmark smoke (perfbench/):
+#                                the benchmark's own self-test, then each
+#                                workload for 4 s untraced; fails unless
+#                                every run reports correct (golden digests
+#                                reproduced) with no failed operation
 #   ./ci.sh --all                every leg above
 #
 # Each leg builds in its own tree (build, build-release, build-asan,
@@ -85,9 +90,10 @@ for arg in "$@"; do
     --recovery) LEGS+=(recovery) ;;
     --analyze) LEGS+=(analyze) ;;
     --cluster) LEGS+=(cluster) ;;
-    --all) LEGS+=(tier1 release asan tsan paranoid tidy faults fleet fuzz ingest recovery cluster analyze) ;;
+    --perf) LEGS+=(perf) ;;
+    --all) LEGS+=(tier1 release asan tsan paranoid tidy faults fleet fuzz ingest recovery cluster analyze perf) ;;
     *)
-      echo "usage: ./ci.sh [--tier1] [--release] [--asan] [--tsan] [--paranoid] [--tidy] [--faults] [--fleet] [--fuzz] [--ingest] [--recovery] [--cluster] [--analyze] [--all]" >&2
+      echo "usage: ./ci.sh [--tier1] [--release] [--asan] [--tsan] [--paranoid] [--tidy] [--faults] [--fleet] [--fuzz] [--ingest] [--recovery] [--cluster] [--analyze] [--perf] [--all]" >&2
       exit 2
       ;;
   esac
@@ -350,6 +356,21 @@ EOF
         echo "clang++ not installed; -Wthread-safety build skipped" \
              "(the stayaway_analyze lock-discipline pass still ran)"
       fi
+      ;;
+    perf)
+      # Whole-run benchmark smoke: perfbench/run.py builds its own tree
+      # (.bench_build/perfbench) and prints one JSON result line last.
+      python3 perfbench/run.py --self-test || return 1
+      local w result
+      for w in fleet-diurnal recovery-checkpoint cluster-flash-crowd; do
+        result="$(python3 perfbench/run.py --workload "$w" --seed 1 \
+          --seconds 4 --trace 0 | tail -n 1)" || return 1
+        echo "$w: $result"
+        python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+          "$result" || { echo "perf run of $w is not correct" >&2; return 1; }
+      done
       ;;
     tidy)
       if ! command -v clang-tidy >/dev/null 2>&1; then

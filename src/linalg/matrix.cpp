@@ -36,16 +36,6 @@ Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
   return m;
 }
 
-double& Matrix::at(std::size_t r, std::size_t c) {
-  SA_REQUIRE(r < rows_ && c < cols_, "matrix index out of range");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  SA_REQUIRE(r < rows_ && c < cols_, "matrix index out of range");
-  return data_[r * cols_ + c];
-}
-
 std::span<double> Matrix::row(std::size_t r) {
   SA_REQUIRE(r < rows_, "row index out of range");
   return {data_.data() + r * cols_, cols_};

@@ -8,6 +8,8 @@
 #include <span>
 #include <vector>
 
+#include "util/check.hpp"
+
 namespace stayaway::linalg {
 
 class Matrix {
@@ -29,8 +31,16 @@ class Matrix {
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
 
-  double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
+  // Inline: the MDS and predictor kernels index element by element, so an
+  // out-of-line call per access would dominate their inner loops.
+  double& at(std::size_t r, std::size_t c) {
+    SA_REQUIRE(r < rows_ && c < cols_, "matrix index out of range");
+    return data_[r * cols_ + c];
+  }
+  double at(std::size_t r, std::size_t c) const {
+    SA_REQUIRE(r < rows_ && c < cols_, "matrix index out of range");
+    return data_[r * cols_ + c];
+  }
 
   std::span<double> row(std::size_t r);
   std::span<const double> row(std::size_t r) const;

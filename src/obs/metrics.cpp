@@ -16,12 +16,16 @@ void Histogram::observe(double v) {
   auto it = std::lower_bound(cell_->bounds.begin(), cell_->bounds.end(), v);
   auto idx = static_cast<std::size_t>(it - cell_->bounds.begin());
   cell_->buckets[idx].fetch_add(1, std::memory_order_relaxed);
-  cell_->count.fetch_add(1, std::memory_order_relaxed);
   cell_->sum.fetch_add(v, std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::count() const {
-  return cell_ != nullptr ? cell_->count.load(std::memory_order_relaxed) : 0;
+  if (cell_ == nullptr) return 0;
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i <= cell_->bounds.size(); ++i) {
+    n += cell_->buckets[i].load(std::memory_order_relaxed);
+  }
+  return n;
 }
 
 double Histogram::sum() const {
@@ -84,10 +88,8 @@ Histogram MetricsRegistry::histogram(std::string_view name,
   auto& named = histograms_.back();
   named.name = std::string(name);
   named.cell.bounds = std::move(bounds);
-  // deque of atomics: emplace one by one (atomics are not copyable).
-  for (std::size_t i = 0; i <= named.cell.bounds.size(); ++i) {
-    named.cell.buckets.emplace_back(0);
-  }
+  named.cell.buckets = std::make_unique<std::atomic<std::uint64_t>[]>(
+      named.cell.bounds.size() + 1);  // value-initialised: all zero
   return Histogram(&named.cell);
 }
 
@@ -106,10 +108,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
       HistogramSnapshot hs;
       hs.name = h.name;
       hs.bounds = h.cell.bounds;
-      for (const auto& b : h.cell.buckets) {
-        hs.buckets.push_back(b.load(std::memory_order_relaxed));
+      for (std::size_t i = 0; i <= h.cell.bounds.size(); ++i) {
+        hs.buckets.push_back(h.cell.buckets[i].load(std::memory_order_relaxed));
+        hs.count += hs.buckets.back();
       }
-      hs.count = h.cell.count.load(std::memory_order_relaxed);
       hs.sum = h.cell.sum.load(std::memory_order_relaxed);
       snap.histograms.push_back(std::move(hs));
     }

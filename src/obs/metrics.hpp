@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,10 +75,11 @@ class Histogram {
 
  private:
   friend class MetricsRegistry;
+  // observe() costs one bucket search and two atomic updates: the count
+  // is not a cell of its own but the bucket total, summed on read.
   struct Cell {
-    std::vector<double> bounds;                    // ascending upper bounds
-    std::deque<std::atomic<std::uint64_t>> buckets;  // bounds.size() + 1
-    std::atomic<std::uint64_t> count{0};
+    std::vector<double> bounds;  // ascending upper bounds
+    std::unique_ptr<std::atomic<std::uint64_t>[]> buckets;  // bounds.size() + 1
     std::atomic<double> sum{0.0};
   };
   explicit Histogram(Cell* cell) : cell_(cell) {}

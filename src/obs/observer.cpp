@@ -1,5 +1,7 @@
 #include "obs/observer.hpp"
 
+#include <string>
+
 namespace stayaway::obs {
 
 Span& Span::operator=(Span&& o) noexcept {
@@ -21,26 +23,30 @@ void Span::close() {
   obs_ = nullptr;
 }
 
-Histogram& Observer::span_histogram(const char* name) {
-  // References into the map stay valid across rehashes, so the returned
-  // handle may be used after the lock is dropped.
-  {
-    util::MutexLock lock(span_mu_);
-    auto it = span_hist_.find(name);
-    if (it != span_hist_.end()) return it->second;
+Histogram Observer::span_histogram(const char* name) {
+  std::size_t n = span_slot_count_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (span_slots_[i].name == name) return span_slots_[i].hist;
   }
   // Cache miss: create the handle with span_mu_ *released*. The registry
   // takes its own mutex inside histogram(); holding span_mu_ across that
-  // call stacked the observer's two locks on every first-use path (the
-  // double-lock the thread-safety annotations flagged). Racing first
-  // uses of one name are benign: histogram() is get-or-create on the
-  // same cell, and emplace keeps whichever entry landed first.
+  // call would stack the observer's two locks. Racing first uses of one
+  // name are benign: histogram() is get-or-create on the same cell, and
+  // the append below keeps whichever slot landed first.
   // 1 us .. 10 s, 24 exponential buckets: covers sub-period phases up to
   // pathological full re-embeddings.
   Histogram h = metrics_.histogram(std::string("span.") + name + ".us",
                                    exponential_bounds(1.0, 1e7, 24));
   util::MutexLock lock(span_mu_);
-  return span_hist_.emplace(name, h).first->second;
+  n = span_slot_count_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (span_slots_[i].name == name) return span_slots_[i].hist;
+  }
+  if (n < kSpanSlots) {
+    span_slots_[n] = SpanSlot{name, h};
+    span_slot_count_.store(n + 1, std::memory_order_release);
+  }
+  return h;
 }
 
 void Observer::record_span(const char* name, double sim_time, double us) {

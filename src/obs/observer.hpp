@@ -8,9 +8,10 @@
 // identical (pinned by test_runtime's equivalence test).
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <chrono>
-#include <string>
-#include <unordered_map>
+#include <cstddef>
 
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
@@ -85,7 +86,7 @@ class Observer {
  private:
   friend class Span;
   void record_span(const char* name, double sim_time, double us);
-  Histogram& span_histogram(const char* name) SA_EXCLUDES(span_mu_);
+  Histogram span_histogram(const char* name) SA_EXCLUDES(span_mu_);
 
   // sa-lint: unguarded(internally synchronized: the registry serializes
   // registration on its own mutex and the handles update atomic cells)
@@ -95,16 +96,30 @@ class Observer {
   EventSink* sink_ = nullptr;
   // sa-lint: unguarded(wiring-time configuration, read-only once running)
   bool span_events_ = true;
-  /// Handle cache so per-period spans take one short lock instead of the
-  /// registry's name lookup. Guarded by span_mu_: an observer may be
-  /// shared by the concurrent host pipelines of a fleet, whose phase
-  /// spans share names — the histograms then aggregate wall-clock phase
-  /// timings fleet-wide (the handles' atomic updates make that safe).
-  /// span_mu_ is never held across the registry's own lock (see
-  /// span_histogram), so the observer's two locks cannot nest.
+  /// Handle cache keyed by the span name's address, so closing a span
+  /// finds its histogram with a few pointer compares: no lock, no string
+  /// and no hashing on the per-period path. An observer may be shared by
+  /// the concurrent host pipelines of a fleet, whose phase spans share
+  /// names — the histograms then aggregate wall-clock phase timings
+  /// fleet-wide (the handles' atomic updates make that safe).
+  ///
+  /// Slots below span_slot_count_ are immutable once published by the
+  /// count's release store, which readers pair with an acquire load.
+  /// span_mu_ only serializes appends and is never held across the
+  /// registry's own lock (see span_histogram), so the observer's two
+  /// locks cannot nest. One name at two addresses takes two slots on the
+  /// same registry cell; names beyond the last slot resolve through the
+  /// registry on every close.
+  struct SpanSlot {
+    const char* name = nullptr;
+    Histogram hist;
+  };
+  static constexpr std::size_t kSpanSlots = 32;
+  // sa-lint: unguarded(append-only: a slot is written under span_mu_
+  // before span_slot_count_ publishes it, then only read)
+  std::array<SpanSlot, kSpanSlots> span_slots_{};
+  std::atomic<std::size_t> span_slot_count_{0};
   util::Mutex span_mu_;
-  std::unordered_map<std::string, Histogram> span_hist_
-      SA_GUARDED_BY(span_mu_);
 };
 
 }  // namespace stayaway::obs

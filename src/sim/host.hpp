@@ -30,7 +30,9 @@ class SimHost {
   double tick_seconds() const { return tick_seconds_; }
 
   /// Advances the simulation by one tick: collect demands from active VMs,
-  /// resolve contention, advance the apps, update ledgers.
+  /// resolve contention, advance the apps, update ledgers. Costs O(VMs)
+  /// and, once the per-tick buffers below have grown to the VM count,
+  /// allocates nothing of its own.
   void step();
 
   /// Runs `n` ticks.
@@ -55,6 +57,10 @@ class SimHost {
   std::vector<std::unique_ptr<SimVm>> vms_;
   double last_utilization_ = 0.0;
   double total_cpu_work_ = 0.0;
+  // Per-tick buffers, reused by every step so the tick does not allocate.
+  std::vector<ResourceDemand> demands_;
+  std::vector<Allocation> allocations_;
+  ContentionScratch contention_scratch_;
 };
 
 }  // namespace stayaway::sim

@@ -4,11 +4,14 @@
 // up the intensity for the current simulated time (linear interpolation)
 // to scale their demand. The Wikipedia read trace the paper uses (Fig. 1)
 // is no longer downloadable, so traces here come from the generator in
-// diurnal.hpp or from CSV files.
+// diurnal.hpp (or are built from sample vectors directly).
+//
+// A Trace is immutable once built, so its extrema are computed once in the
+// constructor: min(), max() and normalized_at() are O(1), which matters
+// because the simulator reads every trace-driven app's intensity on every
+// tick.
 #pragma once
 
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 namespace stayaway::trace {
@@ -16,7 +19,7 @@ namespace stayaway::trace {
 class Trace {
  public:
   /// samples[i] is the intensity at time i * sample_interval_s.
-  /// Requires at least one sample and a positive interval.
+  /// Requires at least one sample, all finite, and a positive interval.
   Trace(std::vector<double> samples, double sample_interval_s);
 
   std::size_t size() const { return samples_.size(); }
@@ -26,25 +29,24 @@ class Trace {
 
   /// Intensity at time t (seconds), linearly interpolated. Times before
   /// the start clamp to the first sample, past the end to the last.
+  /// Requires a finite t.
   double at(double t) const;
 
   /// Intensity normalized to [0,1] by the trace's own min/max.
   double normalized_at(double t) const;
 
-  double min() const;
-  double max() const;
+  double min() const { return min_; }
+  double max() const { return max_; }
   double mean() const;
 
   /// Returns a copy rescaled so values span [lo, hi].
   Trace rescaled(double lo, double hi) const;
 
-  /// Serialization as a two-column CSV (time_s, value).
-  void save_csv(std::ostream& out) const;
-  static Trace load_csv(std::istream& in);
-
  private:
   std::vector<double> samples_;
   double interval_;
+  double min_;
+  double max_;
 };
 
 }  // namespace stayaway::trace

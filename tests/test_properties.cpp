@@ -149,7 +149,9 @@ TEST_P(ContentionSweep, ConservationAndBounds) {
   demands[0].memory_mb = cs.mem_a;
   demands[1].cpu_cores = cs.cpu_b;
   demands[1].memory_mb = cs.mem_b;
-  auto alloc = sim::resolve_contention(host, demands);
+  std::vector<sim::Allocation> alloc;
+  sim::ContentionScratch scratch;
+  sim::resolve_contention(host, demands, alloc, scratch);
 
   double cpu_total = 0.0;
   for (std::size_t i = 0; i < 2; ++i) {
@@ -180,13 +182,16 @@ TEST_P(ContentionSweep, MoreContentionNeverSpeedsAnyoneUp) {
   std::vector<sim::ResourceDemand> alone(1);
   alone[0].cpu_cores = cs.cpu_a;
   alone[0].memory_mb = cs.mem_a;
-  auto alloc_alone = sim::resolve_contention(host, alone);
+  std::vector<sim::Allocation> alloc_alone;
+  sim::ContentionScratch scratch;
+  sim::resolve_contention(host, alone, alloc_alone, scratch);
 
   std::vector<sim::ResourceDemand> both(2);
   both[0] = alone[0];
   both[1].cpu_cores = cs.cpu_b;
   both[1].memory_mb = cs.mem_b;
-  auto alloc_both = sim::resolve_contention(host, both);
+  std::vector<sim::Allocation> alloc_both;
+  sim::resolve_contention(host, both, alloc_both, scratch);
 
   EXPECT_LE(alloc_both[0].progress, alloc_alone[0].progress + 1e-9);
 }

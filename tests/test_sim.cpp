@@ -2,12 +2,38 @@
 // friction), VM lifecycle, host tick loop and ledgers.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 
+#include "apps/cpubomb.hpp"
+#include "apps/twitter_analysis.hpp"
+#include "apps/vlc_stream.hpp"
 #include "sim/contention.hpp"
 #include "sim/host.hpp"
 #include "sim/vm.hpp"
+#include "trace/diurnal.hpp"
 #include "util/check.hpp"
+
+// Every global operator new in this binary is counted, so a test can
+// assert that a code path allocates nothing. The array and nothrow forms
+// forward to this one.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so GCC does not inline a free() into callers of new and
+// misreport the pair as mismatched.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace stayaway::sim {
 namespace {
@@ -59,7 +85,9 @@ ResourceDemand cpu_demand(double cores) {
 // ------------------------------------------------------------ contention
 TEST(Contention, UndersubscribedGetsFullDemand) {
   std::vector<ResourceDemand> demands{cpu_demand(1.0), cpu_demand(2.0)};
-  auto alloc = resolve_contention(test_host(), demands);
+  std::vector<Allocation> alloc;
+  ContentionScratch scratch;
+  resolve_contention(test_host(), demands, alloc, scratch);
   EXPECT_DOUBLE_EQ(alloc[0].granted.cpu_cores, 1.0);
   EXPECT_DOUBLE_EQ(alloc[1].granted.cpu_cores, 2.0);
   EXPECT_DOUBLE_EQ(alloc[0].progress, 1.0);
@@ -70,14 +98,18 @@ TEST(Contention, WaterFillingProtectsSmallDemands) {
   // A small demand below fair share must be fully satisfied even when a
   // hog wants everything (CFS behaviour, unlike naive proportional share).
   std::vector<ResourceDemand> demands{cpu_demand(0.5), cpu_demand(10.0)};
-  auto alloc = resolve_contention(test_host(), demands);
+  std::vector<Allocation> alloc;
+  ContentionScratch scratch;
+  resolve_contention(test_host(), demands, alloc, scratch);
   EXPECT_DOUBLE_EQ(alloc[0].granted.cpu_cores, 0.5);
   EXPECT_NEAR(alloc[1].granted.cpu_cores, 3.5, 1e-9);
 }
 
 TEST(Contention, EqualHogsSplitEvenly) {
   std::vector<ResourceDemand> demands{cpu_demand(4.0), cpu_demand(4.0)};
-  auto alloc = resolve_contention(test_host(), demands);
+  std::vector<Allocation> alloc;
+  ContentionScratch scratch;
+  resolve_contention(test_host(), demands, alloc, scratch);
   EXPECT_NEAR(alloc[0].granted.cpu_cores, 2.0, 1e-9);
   EXPECT_NEAR(alloc[1].granted.cpu_cores, 2.0, 1e-9);
 }
@@ -85,7 +117,9 @@ TEST(Contention, EqualHogsSplitEvenly) {
 TEST(Contention, CapacityConserved) {
   std::vector<ResourceDemand> demands{cpu_demand(3.0), cpu_demand(2.0),
                                       cpu_demand(1.5)};
-  auto alloc = resolve_contention(test_host(), demands);
+  std::vector<Allocation> alloc;
+  ContentionScratch scratch;
+  resolve_contention(test_host(), demands, alloc, scratch);
   double total = 0.0;
   for (const auto& a : alloc) total += a.granted.cpu_cores;
   EXPECT_NEAR(total, 4.0, 1e-9);
@@ -94,14 +128,16 @@ TEST(Contention, CapacityConserved) {
 TEST(Contention, FrictionDegradesCoRunners) {
   HostSpec host = test_host();
   std::vector<ResourceDemand> demands{cpu_demand(1.0), cpu_demand(5.0)};
-  auto alloc = resolve_contention(host, demands);
+  std::vector<Allocation> alloc;
+  ContentionScratch scratch;
+  resolve_contention(host, demands, alloc, scratch);
   // Demand 1.0 is granted fully, but co-run friction still bites:
   // excess = 6/4 - 1 = 0.5, efficiency = 1/1.25 = 0.8.
   EXPECT_DOUBLE_EQ(alloc[0].granted.cpu_cores, 1.0);
   EXPECT_NEAR(alloc[0].progress, 0.8, 1e-9);
 
   host.contention_friction = 0.0;
-  alloc = resolve_contention(host, demands);
+  resolve_contention(host, demands, alloc, scratch);
   EXPECT_DOUBLE_EQ(alloc[0].progress, 1.0);
 }
 
@@ -110,7 +146,9 @@ TEST(Contention, SwapPenaltyOnMemoryOvercommit) {
   std::vector<ResourceDemand> demands(2);
   demands[0].memory_mb = 2000.0;
   demands[1].memory_mb = 3000.0;  // total 5000 > 4096 -> overflow 904
-  auto alloc = resolve_contention(host, demands);
+  std::vector<Allocation> alloc;
+  ContentionScratch scratch;
+  resolve_contention(host, demands, alloc, scratch);
   // Overflow distributed proportionally to working set.
   EXPECT_NEAR(alloc[0].swapped_fraction, 904.0 * (2000.0 / 5000.0) / 2000.0,
               1e-9);
@@ -125,7 +163,9 @@ TEST(Contention, NoSwapWhenMemoryFits) {
   std::vector<ResourceDemand> demands(2);
   demands[0].memory_mb = 2000.0;
   demands[1].memory_mb = 2000.0;
-  auto alloc = resolve_contention(test_host(), demands);
+  std::vector<Allocation> alloc;
+  ContentionScratch scratch;
+  resolve_contention(test_host(), demands, alloc, scratch);
   EXPECT_DOUBLE_EQ(alloc[0].swapped_fraction, 0.0);
   EXPECT_DOUBLE_EQ(alloc[0].progress, 1.0);
 }
@@ -136,7 +176,9 @@ TEST(Contention, BottleneckResourceSetsProgress) {
   demands[0].cpu_cores = 1.0;
   demands[0].membw_mbps = 12000.0;
   demands[1].membw_mbps = 12000.0;  // bus oversubscribed 1.5x
-  auto alloc = resolve_contention(host, demands);
+  std::vector<Allocation> alloc;
+  ContentionScratch scratch;
+  resolve_contention(host, demands, alloc, scratch);
   // Each gets 8000 of 12000 -> progress 2/3 (no CPU excess).
   EXPECT_NEAR(alloc[0].progress, 2.0 / 3.0, 1e-9);
 }
@@ -144,20 +186,68 @@ TEST(Contention, BottleneckResourceSetsProgress) {
 TEST(Contention, ZeroDemandHasFullProgress) {
   std::vector<ResourceDemand> demands(2);
   demands[1].cpu_cores = 8.0;
-  auto alloc = resolve_contention(test_host(), demands);
+  std::vector<Allocation> alloc;
+  ContentionScratch scratch;
+  resolve_contention(test_host(), demands, alloc, scratch);
   EXPECT_DOUBLE_EQ(alloc[0].progress, 1.0);
   EXPECT_DOUBLE_EQ(alloc[0].granted.cpu_cores, 0.0);
 }
 
 TEST(Contention, EmptyDemandsHandled) {
-  auto alloc = resolve_contention(test_host(), {});
+  std::vector<Allocation> alloc;
+  ContentionScratch scratch;
+  resolve_contention(test_host(), {}, alloc, scratch);
   EXPECT_TRUE(alloc.empty());
+}
+
+TEST(Contention, ReusedOutputMatchesFresh) {
+  // One output vector and scratch reused across calls whose VM count
+  // grows and shrinks must give exactly what a fresh pair gives: no entry
+  // of an earlier, larger call may survive into a later one.
+  HostSpec host = test_host();
+  auto demands_of = [](std::size_t n, double scale) {
+    std::vector<ResourceDemand> d(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double k = scale * static_cast<double>(i + 1);
+      d[i].cpu_cores = k;  // at scale 1.3, oversubscribed from n = 3 on
+      d[i].memory_mb = 700.0 * k;
+      d[i].membw_mbps = 3000.0 * k;
+      d[i].disk_mbps = (i % 2 == 0) ? 90.0 * k : 0.0;
+      d[i].net_mbps = 200.0 * k;
+    }
+    return d;
+  };
+  std::vector<Allocation> reused;
+  ContentionScratch reused_scratch;
+  for (std::size_t n : {1u, 5u, 2u, 0u, 6u, 3u, 1u}) {
+    for (double scale : {0.4, 1.3}) {
+      auto demands = demands_of(n, scale);
+      resolve_contention(host, demands, reused, reused_scratch);
+      std::vector<Allocation> fresh;
+      ContentionScratch fresh_scratch;
+      resolve_contention(host, demands, fresh, fresh_scratch);
+      ASSERT_EQ(reused.size(), n);
+      ASSERT_EQ(fresh.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(reused[i].granted.cpu_cores, fresh[i].granted.cpu_cores);
+        EXPECT_EQ(reused[i].granted.memory_mb, fresh[i].granted.memory_mb);
+        EXPECT_EQ(reused[i].granted.membw_mbps, fresh[i].granted.membw_mbps);
+        EXPECT_EQ(reused[i].granted.disk_mbps, fresh[i].granted.disk_mbps);
+        EXPECT_EQ(reused[i].granted.net_mbps, fresh[i].granted.net_mbps);
+        EXPECT_EQ(reused[i].swapped_fraction, fresh[i].swapped_fraction);
+        EXPECT_EQ(reused[i].swap_io_mbps, fresh[i].swap_io_mbps);
+        EXPECT_EQ(reused[i].progress, fresh[i].progress);
+      }
+    }
+  }
 }
 
 TEST(Contention, InvalidHostRejected) {
   HostSpec bad = test_host();
   bad.cpu_cores = 0.0;
-  EXPECT_THROW(resolve_contention(bad, {}), PreconditionError);
+  std::vector<Allocation> alloc;
+  ContentionScratch scratch;
+  EXPECT_THROW(resolve_contention(bad, {}, alloc, scratch), PreconditionError);
 }
 
 // ------------------------------------------------------------------- vm
@@ -277,6 +367,44 @@ TEST(Host, FinishedAppStopsConsuming) {
   EXPECT_TRUE(host.all_finished());
   host.step();
   EXPECT_DOUBLE_EQ(host.instantaneous_cpu_utilization(), 0.0);
+}
+
+// Allocations made by `steps` steady-state ticks of a host that has
+// already ticked once (its per-tick buffers sized).
+std::size_t allocations_over_steps(SimHost& host, std::size_t steps) {
+  host.run(10);
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  host.run(steps);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(SimHost, StepDoesNotAllocate) {
+  constexpr std::size_t kSteps = 1000;
+  trace::DiurnalSpec diurnal;
+  diurnal.days = 1.0;
+  diurnal.sample_interval_s = 300.0;
+  const trace::Trace workload = trace::generate_diurnal(diurnal);
+
+  {
+    // VLC + CpuBomb oversubscribes the CPU, so every tick takes the
+    // water-filling path of resolve_contention.
+    SimHost host(test_host(), 0.1);
+    host.add_vm("vlc", VmKind::Sensitive,
+                std::make_unique<apps::VlcStream>(apps::VlcStreamSpec{},
+                                                  workload));
+    host.add_vm("bomb", VmKind::Batch, std::make_unique<apps::CpuBomb>());
+    EXPECT_EQ(allocations_over_steps(host, kSteps), 0u);
+    EXPECT_GT(host.instantaneous_cpu_utilization(), 0.99);
+  }
+  {
+    SimHost host(test_host(), 0.1);
+    host.add_vm("vlc", VmKind::Sensitive,
+                std::make_unique<apps::VlcStream>(apps::VlcStreamSpec{},
+                                                  workload));
+    host.add_vm("twitter", VmKind::Batch,
+                std::make_unique<apps::TwitterAnalysis>());
+    EXPECT_EQ(allocations_over_steps(host, kSteps), 0u);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Unit tests for src/trace: trace container and diurnal generator.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "trace/diurnal.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace stayaway::trace {
 namespace {
@@ -47,20 +50,59 @@ TEST(Trace, Rescale) {
   EXPECT_DOUBLE_EQ(r.at(1.0), 150.0);
 }
 
-TEST(Trace, CsvRoundTrip) {
-  Trace t({1.5, 2.5, 3.5}, 2.0);
-  std::ostringstream out;
-  t.save_csv(out);
-  std::istringstream in(out.str());
-  Trace back = Trace::load_csv(in);
-  ASSERT_EQ(back.size(), 3u);
-  EXPECT_DOUBLE_EQ(back.sample_interval(), 2.0);
-  EXPECT_DOUBLE_EQ(back.at(2.0), 2.5);
-}
-
 TEST(Trace, InvalidConstruction) {
   EXPECT_THROW(Trace({}, 1.0), PreconditionError);
   EXPECT_THROW(Trace({1.0}, 0.0), PreconditionError);
+}
+
+TEST(Trace, RejectsNonFiniteSamplesAndTimes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(Trace({1.0, nan, 3.0}, 1.0), PreconditionError);
+  EXPECT_THROW(Trace({1.0, inf}, 1.0), PreconditionError);
+  EXPECT_THROW(Trace({-inf, 1.0}, 1.0), PreconditionError);
+  Trace t({0.0, 10.0, 20.0}, 1.0);
+  EXPECT_THROW(t.at(nan), PreconditionError);
+  EXPECT_THROW(t.at(inf), PreconditionError);
+  EXPECT_THROW(t.at(-inf), PreconditionError);
+  EXPECT_THROW(t.normalized_at(nan), PreconditionError);
+  // Finite times far past the end clamp without an out-of-range cast.
+  EXPECT_DOUBLE_EQ(t.at(1e300), 20.0);
+  EXPECT_DOUBLE_EQ(t.at(-1e300), 0.0);
+}
+
+TEST(Trace, CachedExtremaMatchScan) {
+  // The extrema are computed once at construction; every accessor must
+  // agree bit for bit with a fresh scan of the samples, on the trace
+  // itself and on each way a Trace is copied or derived.
+  auto expect_matches_scan = [](const Trace& t) {
+    const auto& s = t.samples();
+    const double lo = *std::min_element(s.begin(), s.end());
+    const double hi = *std::max_element(s.begin(), s.end());
+    EXPECT_EQ(t.min(), lo);
+    EXPECT_EQ(t.max(), hi);
+    const double span = hi - lo;
+    for (double time = -0.5; time <= t.duration() + 0.5; time += 0.37) {
+      const double want = span <= 0.0 ? 0.0 : (t.at(time) - lo) / span;
+      EXPECT_EQ(t.normalized_at(time), want) << "t=" << time;
+    }
+  };
+  Rng rng(2024);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<double> samples(1 + rng.index(40));
+    for (double& v : samples) v = rng.uniform(-50.0, 50.0);
+    Trace t(samples, 0.5 + rng.uniform());
+    expect_matches_scan(t);
+    Trace copy = t;
+    expect_matches_scan(copy);
+    Trace moved = std::move(copy);
+    expect_matches_scan(moved);
+    Trace assigned({0.0}, 1.0);
+    assigned = moved;
+    expect_matches_scan(assigned);
+    expect_matches_scan(t.rescaled(-3.0, 7.0));
+    expect_matches_scan(t.rescaled(2.0, 2.0));
+  }
 }
 
 TEST(Diurnal, HasDailyCycle) {
