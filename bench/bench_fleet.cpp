@@ -3,8 +3,7 @@
 // core::FleetController pool (DESIGN.md §13).
 //
 // Each host runs the full Stay-Away loop (map -> predict -> act) against
-// its own simulated host with a decorrelated seed; the hot-path pool is
-// pinned to one thread, as fleet concurrency requires. Aggregate
+// its own simulated host with a decorrelated seed. Aggregate
 // periods/s = (hosts x periods per host) / wall-clock.
 //
 // Acceptance bound: with 4 workers, 8 hosts must deliver at least 3x the
@@ -26,7 +25,6 @@
 #include "harness/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stayaway::bench {
 namespace {
@@ -71,9 +69,6 @@ double measure_rate(const harness::ExperimentSpec& base, std::size_t hosts) {
 int main() {
   using namespace stayaway;
   using namespace stayaway::bench;
-
-  // Host-level parallelism requires kernel-level parallelism off.
-  util::set_hot_path_threads(1);
 
   const unsigned hw = std::thread::hardware_concurrency();
   harness::ExperimentSpec base = base_spec();

@@ -36,7 +36,6 @@
 #include "obs/metrics.hpp"
 #include "sim/faults.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stayaway::bench {
 namespace {
@@ -161,9 +160,6 @@ int main(int argc, char** argv) {
   }
   const double duration_s = smoke ? 30.0 : 60.0;
   const int reps = smoke ? 1 : 3;
-
-  // Host-level parallelism requires kernel-level parallelism off.
-  util::set_hot_path_threads(1);
 
   std::cout << "=== bench_recovery: " << kHosts << "-host fleet, host "
             << kCrashHost << " crashing, " << kWorkers << " workers ===\n";

@@ -7,7 +7,7 @@
 #                                the golden digests must hold at -O3 too
 #   ./ci.sh --asan               AddressSanitizer + UBSan, Debug, full suite
 #   ./ci.sh --tsan               ThreadSanitizer, full suite (data races in the
-#                                hot-path pool / parallel kernels / obs layer)
+#                                fleet member pool / ingest rings / obs layer)
 #   ./ci.sh --paranoid           STAYAWAY_PARANOID=ON Debug build: every
 #                                SA_INVARIANT audit enabled, full suite
 #   ./ci.sh --tidy               best-effort clang-tidy over src/ (skipped

@@ -166,11 +166,6 @@ struct StayAwayConfig {
   /// map is established). 0 disables skipping — always run both solves
   /// and keep the better, the historical behaviour.
   double warm_skip_stress = 0.0;
-  /// Threads for the hot-path kernels (distance matrices, SMACOF inner
-  /// loops) — applied to the process-wide pool at pipeline construction.
-  /// 1 = strictly sequential and bit-identical to the historical code;
-  /// 0 = leave the process-wide setting untouched.
-  std::size_t hot_path_threads = 0;
   GovernorConfig governor;
   /// Degraded-mode responses to telemetry and actuation faults.
   DegradationConfig degradation;

@@ -151,14 +151,12 @@ class FleetController {
   }
 
   /// Drives every member for its configured periods, with up to
-  /// config.workers members in flight at once. Requires the process-wide
-  /// hot-path pool to be single-threaded when workers > 1 (host-level
-  /// and kernel-level parallelism do not compose — the global pool is
-  /// not reentrant). Exceptions from member loops are captured per
-  /// member and the first one rethrown after every worker joined.
-  /// With a period hook installed, members run in lockstep instead
-  /// (workers are ignored; the coordinated fleet is sequential by
-  /// construction so coordinator decisions are deterministic).
+  /// config.workers members in flight at once. Exceptions from member
+  /// loops are captured per member and the first one rethrown after
+  /// every worker joined. With a period hook installed, members run in
+  /// lockstep instead (workers are ignored; the coordinated fleet is
+  /// sequential by construction so coordinator decisions are
+  /// deterministic).
   void run();
 
  private:

@@ -37,6 +37,15 @@ ThrottleGovernor::ThrottleGovernor(GovernorConfig config, Rng rng)
   SA_REQUIRE(config.beta_increment >= 0.0, "beta increment must be >= 0");
   SA_REQUIRE(config.beta_max <= 0.0 || config.beta_max >= config.beta_initial,
              "beta_max must be >= beta_initial (or <= 0 to disable the cap)");
+  SA_REQUIRE(std::isfinite(config.resume_grace_s) &&
+                 config.resume_grace_s >= 0.0,
+             "resume grace must be finite and >= 0");
+  SA_REQUIRE(std::isfinite(config.starvation_patience_s) &&
+                 config.starvation_patience_s >= 0.0,
+             "starvation patience must be finite and >= 0");
+  SA_REQUIRE(config.random_resume_probability >= 0.0 &&
+                 config.random_resume_probability <= 1.0,
+             "random resume probability must lie in [0, 1]");
 }
 
 void ThrottleGovernor::abandon_pause() {

@@ -2,7 +2,6 @@
 
 #include "trace/diurnal.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stayaway::core {
 
@@ -100,9 +99,6 @@ void HostPipeline::init(StageSet stages) {
   sa_mapper_ = dynamic_cast<StayAwayMapper*>(mapper_.get());
   sa_forecaster_ = dynamic_cast<TrajectoryForecaster*>(forecaster_.get());
   sa_actuator_ = dynamic_cast<GovernorActuator*>(actuator_.get());
-  if (config_.hot_path_threads != 0) {
-    util::set_hot_path_threads(config_.hot_path_threads);
-  }
 }
 
 void HostPipeline::set_host_label(std::string label) {

@@ -65,9 +65,7 @@ struct FleetHostSpec {
 
 struct FleetSpec {
   std::vector<FleetHostSpec> hosts;
-  /// Hosts driven concurrently (core::FleetController workers). More
-  /// than one worker requires the hot-path pool pinned to one thread —
-  /// host-level and kernel-level parallelism do not compose.
+  /// Hosts driven concurrently (core::FleetController workers).
   std::size_t workers = 1;
   /// Shared passive observer for every host that does not carry its own
   /// (ExperimentSpec::observer takes precedence per host). With more

@@ -25,14 +25,11 @@ std::string trim(const std::string& s) {
 }
 
 double parse_double(std::size_t line, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    double v = std::stod(value, &pos);
-    if (pos != value.size()) fail(line, "trailing characters in number");
-    return v;
-  } catch (const std::logic_error&) {
+  double v = 0.0;
+  if (!stayaway::parse_double(value, v)) {
     fail(line, "expected a number, got '" + value + "'");
   }
+  return v;
 }
 
 bool parse_bool(std::size_t line, const std::string& value) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stayaway::mds {
 
@@ -11,19 +10,13 @@ linalg::Matrix distance_matrix(const std::vector<std::vector<double>>& vectors) 
   SA_REQUIRE(!vectors.empty(), "distance matrix of an empty set");
   const std::size_t n = vectors.size();
   linalg::Matrix d(n, n);
-  // Row-parallel: iteration i writes the upper-triangle row (i, j>i) and
-  // its mirror column (j>i, i). Every cell has exactly one writing
-  // iteration, and each cell's value depends only on (i, j), so the result
-  // is bit-identical for any thread count.
-  util::hot_path_pool().for_ranges(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        double dist = linalg::euclidean_distance(vectors[i], vectors[j]);
-        d.at(i, j) = dist;
-        d.at(j, i) = dist;
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      double dist = linalg::euclidean_distance(vectors[i], vectors[j]);
+      d.at(i, j) = dist;
+      d.at(j, i) = dist;
     }
-  });
+  }
   return d;
 }
 
@@ -43,18 +36,14 @@ linalg::Matrix extended_distance_matrix(
     std::copy(src.begin(), src.end(), dst.begin());
   }
   // Only the new rows/columns are computed: O((n - m) * n) distances
-  // instead of the O(n^2) full rebuild. Same single-writer-per-cell
-  // argument as distance_matrix, so the result is thread-count invariant
-  // and entry-wise identical to distance_matrix(vectors).
+  // instead of the O(n^2) full rebuild, entry-wise identical to
+  // distance_matrix(vectors).
   for (std::size_t i = m; i < n; ++i) {
-    util::hot_path_pool().for_ranges(
-        i, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t j = begin; j < end; ++j) {
-            double dist = linalg::euclidean_distance(vectors[i], vectors[j]);
-            out.at(i, j) = dist;
-            out.at(j, i) = dist;
-          }
-        });
+    for (std::size_t j = 0; j < i; ++j) {
+      double dist = linalg::euclidean_distance(vectors[i], vectors[j]);
+      out.at(i, j) = dist;
+      out.at(j, i) = dist;
+    }
   }
   return out;
 }

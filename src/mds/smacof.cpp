@@ -4,7 +4,6 @@
 
 #include "mds/classical.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stayaway::mds {
 
@@ -12,36 +11,13 @@ namespace {
 
 double raw_stress(const linalg::Matrix& delta, const Embedding& x) {
   const std::size_t n = x.size();
-  util::ThreadPool& pool = util::hot_path_pool();
-  if (pool.size() == 1) {
-    // Historical sequential accumulation, kept verbatim: the single-thread
-    // configuration must stay bit-identical to the seed implementation.
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        double diff = delta.at(i, j) - distance(x[i], x[j]);
-        acc += diff * diff;
-      }
-    }
-    return acc;
-  }
-  // Parallel path: per-row partial sums, reduced in row order. The
-  // association is fixed by the row structure (not by chunk boundaries),
-  // so the result is identical for every thread count >= 2 — it may
-  // differ from the single-thread sum only in the last ulp.
-  std::vector<double> row_sum(n, 0.0);
-  pool.for_ranges(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      double acc = 0.0;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        double diff = delta.at(i, j) - distance(x[i], x[j]);
-        acc += diff * diff;
-      }
-      row_sum[i] = acc;
-    }
-  });
   double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += row_sum[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      double diff = delta.at(i, j) - distance(x[i], x[j]);
+      acc += diff * diff;
+    }
+  }
   return acc;
 }
 
@@ -56,30 +32,25 @@ double sum_delta_squared(const linalg::Matrix& delta) {
   return acc;
 }
 
-/// One Guttman transform: X' = (1/n) B(X) X with unit weights. Rows are
-/// independent (row i reads all of x, writes only next[i]), so the
-/// row-parallel result is bit-identical to the sequential one.
+/// One Guttman transform: X' = (1/n) B(X) X with unit weights.
 Embedding guttman_transform(const linalg::Matrix& delta, const Embedding& x) {
   const std::size_t n = x.size();
   Embedding next(n);
-
-  util::hot_path_pool().for_ranges(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      double bii = 0.0;
-      double accx = 0.0;
-      double accy = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i == j) continue;
-        double dij = distance(x[i], x[j]);
-        double bij = (dij > 1e-12) ? -delta.at(i, j) / dij : 0.0;
-        bii -= bij;
-        accx += bij * x[j].x;
-        accy += bij * x[j].y;
-      }
-      next[i].x = (bii * x[i].x + accx) / static_cast<double>(n);
-      next[i].y = (bii * x[i].y + accy) / static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double bii = 0.0;
+    double accx = 0.0;
+    double accy = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      double dij = distance(x[i], x[j]);
+      double bij = (dij > 1e-12) ? -delta.at(i, j) / dij : 0.0;
+      bii -= bij;
+      accx += bij * x[j].x;
+      accy += bij * x[j].y;
     }
-  });
+    next[i].x = (bii * x[i].x + accx) / static_cast<double>(n);
+    next[i].y = (bii * x[i].y + accy) / static_cast<double>(n);
+  }
   return next;
 }
 

@@ -64,7 +64,6 @@ class RepresentativeSet {
   std::vector<std::vector<double>> reps_;
   std::vector<std::size_t> weights_;
   std::size_t observed_ = 0;
-  std::vector<double> scan_dist_;  // reused nearest-scan scratch buffer
 };
 
 }  // namespace stayaway::monitor

@@ -51,14 +51,11 @@ bool is_sensor_fault(FaultKind kind) {
 }
 
 double parse_double(std::size_t line, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    double v = std::stod(value, &pos);
-    if (pos != value.size()) fail(line, "trailing characters in number");
-    return v;
-  } catch (const std::logic_error&) {
+  double v = 0.0;
+  if (!stayaway::parse_double(value, v)) {
     fail(line, "expected a number, got '" + value + "'");
   }
+  return v;
 }
 
 void validate_spec(const FaultSpec& spec, std::size_t line_no) {

@@ -1,6 +1,5 @@
 #include "util/statecodec.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -19,10 +18,8 @@ namespace {
 
 double parse_exact_double(const std::string& text, std::string_view what) {
   if (text.empty()) fail(what, "empty double");
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  double v = std::strtod(begin, &end);
-  if (end != begin + text.size()) fail(what, "malformed double '" + text + "'");
+  double v = 0.0;
+  if (!parse_double(text, v)) fail(what, "malformed double '" + text + "'");
   return v;
 }
 

@@ -1,5 +1,7 @@
 #include "util/strings.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +32,22 @@ std::string format_double_exact(double v) {
     if (std::strtod(buf, nullptr) == v) break;
   }
   return buf;
+}
+
+bool parse_double(const std::string& text, double& out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  double v = std::strtod(begin, &end);
+  if (end != begin + text.size()) return false;
+  // ERANGE with an infinite result is overflow; with a tiny one it is
+  // underflow, and v already holds the nearest subnormal (or zero).
+  if (errno == ERANGE && std::isinf(v)) return false;
+  out = v;
+  return true;
 }
 
 bool parse_u64(const std::string& text, std::uint64_t& out) {

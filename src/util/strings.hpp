@@ -16,6 +16,12 @@ std::string format_double(double v, int precision);
 /// byte-diff guarantee rests on (DESIGN.md §14).
 std::string format_double_exact(double v);
 
+/// Parses the whole of text as a strtod double into out ("1.5", "2e-3",
+/// "inf", "nan"); false when text is empty, has leading or trailing
+/// characters, or overflows ("1e400"). Underflow is accepted, so every
+/// subnormal format_double_exact writes parses back to itself.
+bool parse_double(const std::string& text, double& out);
+
 /// Parses a full plain decimal u64 into out; false when text has signs,
 /// spaces, trailing characters or overflows. Seeds must go through this
 /// rather than a double parse — a 64-bit seed truncates above 2^53.

@@ -1,8 +1,5 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
-#include <memory>
-
 #include "util/check.hpp"
 
 namespace stayaway::util {
@@ -30,7 +27,7 @@ void ThreadPool::for_ranges(std::size_t n, const RangeFn& fn) {
     if (n > 0) fn(0, n);
     return;
   }
-  SA_CHECK(!in_parallel_.exchange(true, std::memory_order_acquire),
+  SA_CHECK(!dispatching_.exchange(true, std::memory_order_acquire),
            "for_ranges is not reentrant: fn called back into the same pool");
   {
     MutexLock lock(mu_);
@@ -51,7 +48,7 @@ void ThreadPool::for_ranges(std::size_t n, const RangeFn& fn) {
     });
     fn_ = nullptr;
   }
-  in_parallel_.store(false, std::memory_order_release);
+  dispatching_.store(false, std::memory_order_release);
 }
 
 void ThreadPool::worker_loop(std::size_t slot) {
@@ -82,42 +79,8 @@ void ThreadPool::worker_loop(std::size_t slot) {
   }
 }
 
-namespace {
-
-std::unique_ptr<ThreadPool>& pool_slot() {
-  static std::unique_ptr<ThreadPool> pool = std::make_unique<ThreadPool>(1);
-  return pool;
-}
-
-// The first thread to reconfigure the global pool becomes the control
-// thread; later reconfigurations must come from it (debug-checked). The
-// hot-path kernels themselves only ever run on the control thread, so
-// a foreign reconfigure would race the workers' unlocked state.
-std::atomic<std::thread::id>& control_thread_slot() {
-  static std::atomic<std::thread::id> id{};
-  return id;
-}
-
-}  // namespace
-
-ThreadPool& hot_path_pool() { return *pool_slot(); }
-
 void set_hot_path_threads(std::size_t n) {
-  std::thread::id expected{};
-  control_thread_slot().compare_exchange_strong(
-      expected, std::this_thread::get_id(), std::memory_order_acq_rel);
-  SA_DCHECK(control_thread_slot().load(std::memory_order_acquire) ==
-                std::this_thread::get_id(),
-            "hot-path pool reconfigured from a non-control thread");
-  SA_CHECK(!pool_slot()->in_parallel(),
-           "hot-path pool reconfigured while a parallel section is active");
-  if (n == 0) {
-    n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  if (n == pool_slot()->size()) return;
-  pool_slot() = std::make_unique<ThreadPool>(n);
+  SA_REQUIRE(n == 1, "the map->predict kernels are sequential");
 }
-
-std::size_t hot_path_threads() { return pool_slot()->size(); }
 
 }  // namespace stayaway::util

@@ -1,18 +1,21 @@
-// Small reusable worker pool for the map->predict hot-path kernels
-// (distance matrices, Guttman transforms, stress sums).
+// Small worker pool that drives fleet members: core/fleet.cpp splits the
+// member index range across the pool's threads and each thread drives its
+// members through the whole run. Host-level parallelism is the one
+// concurrency axis; the map->predict kernels (distance matrices, SMACOF,
+// the nearest-representative scan) run sequentially.
 //
 // Design constraints, in order:
-//   1. Determinism. With 1 thread every kernel runs the exact historical
-//      sequential code, bit for bit. With k >= 2 threads the work is split
-//      into contiguous index ranges whose *values* never depend on thread
-//      scheduling — only on the range boundaries — so repeated runs agree.
-//   2. Reuse. The control loop runs every period; spawning threads per
-//      call would dwarf the work. Workers are parked on a condition
-//      variable between calls.
+//   1. Determinism. With 1 thread everything runs inline on the caller.
+//      With k >= 2 threads the work is split into contiguous index ranges
+//      whose *values* never depend on thread scheduling — only on the
+//      range boundaries — so repeated runs agree.
+//   2. Reuse. Workers are parked on a condition variable between calls
+//      instead of being spawned per call.
 //   3. No dependencies. Plain <thread>/<condition_variable>.
 //
 // Range functions must not throw: an exception on a worker thread would
-// terminate the process. The hot-path kernels are pure arithmetic.
+// terminate the process. The fleet captures each member's exception and
+// rethrows it after the section ends.
 #pragma once
 
 #include <atomic>
@@ -47,12 +50,6 @@ class ThreadPool {
   /// the alternative is a silent deadlock).
   void for_ranges(std::size_t n, const RangeFn& fn);
 
-  /// True while a parallel section is executing on this pool. Used by
-  /// set_hot_path_threads to reject reconfiguration mid-section.
-  bool in_parallel() const {
-    return in_parallel_.load(std::memory_order_relaxed);
-  }
-
  private:
   void worker_loop(std::size_t slot);
   static std::size_t chunk_begin(std::size_t chunk, std::size_t n,
@@ -72,26 +69,12 @@ class ThreadPool {
   const RangeFn* fn_ SA_GUARDED_BY(mu_) = nullptr;
   std::size_t n_ SA_GUARDED_BY(mu_) = 0;
   bool stop_ SA_GUARDED_BY(mu_) = false;
-  std::atomic<bool> in_parallel_{false};
+  std::atomic<bool> dispatching_{false};  // reentrancy guard for for_ranges
 };
 
-/// Process-wide pool shared by the hot-path kernels. Defaults to a single
-/// thread, which keeps every kernel bit-identical to the historical
-/// sequential implementation; opt into parallelism with
-/// set_hot_path_threads(). Reconfigure only from the control thread while
-/// no kernel is running.
-ThreadPool& hot_path_pool();
-
-/// Replaces the global pool with one of `n` threads (0 = one per hardware
-/// thread). n == current size is a no-op.
-///
-/// The documented ownership rule is enforced: calling this while a
-/// parallel section is active throws (always), and calling it from a
-/// thread other than the one that performed the first reconfiguration
-/// throws in debug builds (the first caller becomes the control thread).
+/// Exists only for perfbench/wholerun.cpp, which calls
+/// set_hot_path_threads(1). The map->predict kernels are sequential, so 1
+/// is the only value accepted and the call does nothing.
 void set_hot_path_threads(std::size_t n);
-
-/// Current parallelism of the global pool.
-std::size_t hot_path_threads();
 
 }  // namespace stayaway::util

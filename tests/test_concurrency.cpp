@@ -1,11 +1,9 @@
 // Multi-threaded stress tests, written to run under ThreadSanitizer
 // (./ci.sh --tsan) as well as in the plain tier-1 suite. They hammer the
-// concurrent surfaces of the library: the hot-path thread pool (worker
-// hand-off, repeated reconfiguration), the parallel SMACOF/distance
-// kernels (determinism across thread counts), the obs metrics registry
-// (relaxed-atomic updates racing registration and snapshots), and the
-// fleet runner (full host pipelines publishing into one shared observer
-// from a worker pool).
+// concurrent surfaces of the library: the thread pool that drives fleet
+// members (worker hand-off), the obs metrics registry (relaxed-atomic
+// updates racing registration and snapshots), and the fleet runner (full
+// host pipelines publishing into one shared observer from a worker pool).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,23 +15,13 @@
 #include <vector>
 
 #include "harness/fleet.hpp"
-#include "mds/distance.hpp"
-#include "mds/smacof.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
-#include "util/check.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace stayaway {
 namespace {
-
-// Restores the global pool to a single thread when a test exits, so a
-// failing test cannot leak parallelism into its neighbours.
-struct PoolGuard {
-  ~PoolGuard() { util::set_hot_path_threads(1); }
-};
 
 TEST(ThreadPoolStress, ForRangesCoversEveryIndexAtEverySize) {
   constexpr std::size_t kN = 10'000;
@@ -52,127 +40,12 @@ TEST(ThreadPoolStress, ForRangesCoversEveryIndexAtEverySize) {
   }
 }
 
-TEST(ThreadPoolStress, RepeatedReconfigurationFromControlThread) {
-  PoolGuard guard;
-  constexpr std::size_t kN = 4'096;
-  const std::size_t sizes[] = {1, 2, 4, 8, 3, 1, 8, 2};
-  for (int round = 0; round < 40; ++round) {
-    std::size_t threads = sizes[static_cast<std::size_t>(round) %
-                                (sizeof(sizes) / sizeof(sizes[0]))];
-    util::set_hot_path_threads(threads);
-    ASSERT_EQ(util::hot_path_threads(), threads);
-    std::vector<double> out(kN, 0.0);
-    util::hot_path_pool().for_ranges(kN, [&](std::size_t begin,
-                                             std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        out[i] = static_cast<double>(i) * 0.5;
-      }
-    });
-    double acc = 0.0;
-    for (double v : out) acc += v;
-    ASSERT_DOUBLE_EQ(acc, 0.5 * static_cast<double>(kN) *
-                              static_cast<double>(kN - 1) / 2.0);
-  }
-}
-
-TEST(ThreadPoolStress, InParallelIsVisibleDuringASection) {
-  util::ThreadPool pool(4);
-  EXPECT_FALSE(pool.in_parallel());
-  std::atomic<bool> release{false};
-  std::atomic<bool> observed{false};
-  std::thread observer([&] {
-    while (!pool.in_parallel()) std::this_thread::yield();
-    observed.store(true);
-    release.store(true);
-  });
-  pool.for_ranges(64, [&](std::size_t, std::size_t) {
-    while (!release.load()) std::this_thread::yield();
-  });
-  observer.join();
-  EXPECT_TRUE(observed.load());
-  EXPECT_FALSE(pool.in_parallel());
-}
-
-TEST(ThreadPoolStress, ReconfigureFromNonControlThreadThrowsInDebug) {
-  PoolGuard guard;
-  // The main thread claims control-thread ownership (or already has it
-  // from an earlier test in this binary).
-  util::set_hot_path_threads(1);
-  if (!dchecks_enabled()) {
-    GTEST_SKIP() << "owning-thread check is debug-only";
-  }
-  std::atomic<bool> threw{false};
-  std::thread foreign([&] {
-    try {
-      util::set_hot_path_threads(2);
-    } catch (const InvariantError&) {
-      threw.store(true);
-    }
-  });
-  foreign.join();
-  EXPECT_TRUE(threw.load());
-  EXPECT_EQ(util::hot_path_threads(), 1u);
-}
-
-// §4 determinism contract: with k >= 2 threads the SMACOF stress
-// reduction is associated per row, so every thread count >= 2 produces
-// bit-identical layouts; the single-thread path is the historical
-// sequential code and may differ only in the last ulp.
-TEST(ParallelEmbedding, SmacofIsDeterministicAcrossThreadCounts) {
-  PoolGuard guard;
-  Rng rng(20260806);
-  std::vector<std::vector<double>> vectors;
-  for (std::size_t i = 0; i < 96; ++i) {
-    std::vector<double> v(6, 0.0);
-    for (double& x : v) x = rng.uniform();
-    vectors.push_back(std::move(v));
-  }
-
-  util::set_hot_path_threads(1);
-  const linalg::Matrix delta = mds::distance_matrix(vectors);
-  const mds::SmacofResult seq = mds::smacof(delta);
-
-  util::set_hot_path_threads(4);
-  const linalg::Matrix delta4 = mds::distance_matrix(vectors);
-  const mds::SmacofResult par4 = mds::smacof(delta4);
-
-  util::set_hot_path_threads(8);
-  const mds::SmacofResult par8 = mds::smacof(delta4);
-
-  // Distances are per-entry independent: bit-identical at any k.
-  ASSERT_EQ(delta.rows(), delta4.rows());
-  for (std::size_t i = 0; i < delta.rows(); ++i) {
-    for (std::size_t j = 0; j < delta.cols(); ++j) {
-      ASSERT_EQ(delta.at(i, j), delta4.at(i, j));
-    }
-  }
-  // k = 4 and k = 8 agree bit for bit.
-  ASSERT_EQ(par4.points.size(), par8.points.size());
-  ASSERT_EQ(par4.iterations, par8.iterations);
-  for (std::size_t i = 0; i < par4.points.size(); ++i) {
-    ASSERT_EQ(par4.points[i].x, par8.points[i].x);
-    ASSERT_EQ(par4.points[i].y, par8.points[i].y);
-  }
-  // The sequential run agrees to floating-point noise.
-  ASSERT_EQ(seq.points.size(), par4.points.size());
-  for (std::size_t i = 0; i < seq.points.size(); ++i) {
-    EXPECT_NEAR(seq.points[i].x, par4.points[i].x, 1e-9);
-    EXPECT_NEAR(seq.points[i].y, par4.points[i].y, 1e-9);
-  }
-  EXPECT_NEAR(seq.stress, par4.stress, 1e-9);
-}
-
 // DESIGN.md §13: eight full host pipelines — map, predict, act, degraded
 // -mode bookkeeping and observability publish — driven 200 periods each
 // on a 4-worker fleet pool, all publishing into one shared observer.
 // Concurrency must be invisible in the results: every host's record
 // stream matches a serial run of the same fleet, host by host.
 TEST(FleetConcurrency, EightPipelinesOnFourWorkersMatchSerialRun) {
-  PoolGuard guard;
-  // Host-level parallelism requires the hot-path pool pinned to one
-  // thread (pure inline kernels, no shared pool state).
-  util::set_hot_path_threads(1);
-
   harness::ExperimentSpec base;
   base.sensitive = harness::SensitiveKind::VlcStream;
   base.batch = harness::BatchKind::TwitterAnalysis;
@@ -224,9 +97,6 @@ TEST(FleetConcurrency, EightPipelinesOnFourWorkersMatchSerialRun) {
 // record streams (ingest telemetry included) must match a serial run of
 // the identical fleet. Runs under TSan via `ci.sh --ingest`.
 TEST(IngestConcurrency, RingFedFleetMatchesSerialRun) {
-  PoolGuard guard;
-  util::set_hot_path_threads(1);
-
   harness::ExperimentSpec base;
   base.sensitive = harness::SensitiveKind::VlcStream;
   base.batch = harness::BatchKind::TwitterAnalysis;

@@ -17,7 +17,6 @@
 #include "obs/observer.hpp"
 #include "util/envelope.hpp"
 #include "util/statecodec.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stayaway::harness {
 namespace {
@@ -341,7 +340,6 @@ TEST(Fleet, ReplicateSplitsNamesAndSeeds) {
 }
 
 TEST(Fleet, WorkersDoNotChangeResults) {
-  util::set_hot_path_threads(1);
   ExperimentSpec base = short_spec(PolicyKind::StayAway);
   base.duration_s = 30.0;
   FleetSpec serial = replicate_fleet(base, 4, 5, 1);

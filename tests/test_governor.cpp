@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/governor.hpp"
@@ -164,6 +165,31 @@ TEST(Governor, InvalidConfigRejected) {
   GovernorConfig cfg = test_config();
   cfg.beta_initial = 0.0;
   EXPECT_THROW(ThrottleGovernor(cfg, Rng(1)), PreconditionError);
+  // A NaN patience or grace would silently switch off the anti-starvation
+  // resume or the failed-resume detection.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -1.0}) {
+    cfg = test_config();
+    cfg.resume_grace_s = bad;
+    EXPECT_THROW(ThrottleGovernor(cfg, Rng(1)), PreconditionError) << bad;
+    cfg = test_config();
+    cfg.starvation_patience_s = bad;
+    EXPECT_THROW(ThrottleGovernor(cfg, Rng(1)), PreconditionError) << bad;
+  }
+  for (double bad : {nan, 2.0, -0.1, inf}) {
+    cfg = test_config();
+    cfg.random_resume_probability = bad;
+    EXPECT_THROW(ThrottleGovernor(cfg, Rng(1)), PreconditionError) << bad;
+  }
+  // The closed ends stay legal.
+  cfg = test_config();
+  cfg.resume_grace_s = 0.0;
+  cfg.starvation_patience_s = 0.0;
+  cfg.random_resume_probability = 0.0;
+  EXPECT_NO_THROW(ThrottleGovernor(cfg, Rng(1)));
+  cfg.random_resume_probability = 1.0;
+  EXPECT_NO_THROW(ThrottleGovernor(cfg, Rng(1)));
 }
 
 TEST(Governor, BetaMaxCapsFailedResumeGrowth) {

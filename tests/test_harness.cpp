@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <vector>
 
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
+#include "harness/rig.hpp"
 #include "harness/scenarios.hpp"
 #include "obs/events.hpp"
 #include "obs/observer.hpp"
@@ -172,6 +174,24 @@ TEST(Experiment, InvalidSpecsRejected) {
   spec = short_spec();
   spec.period_s = 0.01;  // below tick
   EXPECT_THROW(run_experiment(spec), PreconditionError);
+}
+
+TEST(Experiment, NonFiniteRunLengthRejected) {
+  // An infinite duration used to run forever and an infinite period ran
+  // zero periods and reported an all-zero result.
+  const double bad[] = {std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()};
+  for (double value : bad) {
+    ExperimentSpec spec = short_spec();
+    spec.duration_s = value;
+    EXPECT_THROW(build_host_rig(spec), PreconditionError) << value;
+    spec = short_spec();
+    spec.period_s = value;
+    EXPECT_THROW(build_host_rig(spec), PreconditionError) << value;
+    spec = short_spec();
+    spec.tick_s = value;
+    EXPECT_THROW(build_host_rig(spec), PreconditionError) << value;
+  }
 }
 
 TEST(Experiment, ResumeDecisionCountsTheVmItReleased) {

@@ -1,6 +1,7 @@
 // Tests for the scenario-file parser behind the stayaway_sim CLI tool.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -427,6 +428,32 @@ TEST(ScenarioFile, SerializeParseSerializeIsAFixedPoint) {
   EXPECT_EQ(back.base.spec.faults->faults.size(), 2u);
   ASSERT_EQ(back.base.spec.extra_batch.size(), 1u);
   EXPECT_EQ(back.base.spec.extra_batch[0].name, "extra one");
+}
+
+TEST(ScenarioFile, SubnormalValuesRoundTrip) {
+  // format_double_exact writes subnormals (4.94065645841247e-324); the
+  // scenario and fault-line parsers must read them back instead of
+  // treating strtod's underflow report as a malformed number.
+  Scenario doc = parse(R"(
+    duration_s = 45
+    fault = sensor-dropout start=3 end=9
+  )");
+  doc.spec.stayaway.sampler.noise_fraction =
+      std::numeric_limits<double>::denorm_min();
+  ASSERT_TRUE(doc.spec.faults.has_value());
+  doc.spec.faults->faults[0].start_s = 1e-320;
+  std::string once = serialize_scenario(doc);
+  Scenario back = parse(once);
+  EXPECT_EQ(back.spec.stayaway.sampler.noise_fraction,
+            std::numeric_limits<double>::denorm_min());
+  ASSERT_TRUE(back.spec.faults.has_value());
+  ASSERT_EQ(back.spec.faults->faults.size(), 1u);
+  EXPECT_EQ(back.spec.faults->faults[0].start_s, 1e-320);
+  EXPECT_EQ(serialize_scenario(back), once);
+  // Overflow is still a malformed number.
+  EXPECT_THROW(parse("noise_fraction = 1e400\n"), PreconditionError);
+  EXPECT_THROW(parse("fault = sensor-dropout start=1e400\n"),
+               PreconditionError);
 }
 
 TEST(FleetScenarioFile, FleetSerializeParseSerializeIsAFixedPoint) {

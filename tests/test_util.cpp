@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -200,6 +201,29 @@ TEST(Strings, FormatDoubleTrimsZeros) {
   EXPECT_EQ(format_double(2.0, 4), "2");
   EXPECT_EQ(format_double(0.001, 6), "0.001");
   EXPECT_EQ(format_double(-0.0, 3), "0");
+}
+
+TEST(Strings, ParseDoubleMatchesTheWholeString) {
+  double v = 0.0;
+  EXPECT_TRUE(parse_double("1.5", v));
+  EXPECT_EQ(v, 1.5);
+  EXPECT_TRUE(parse_double("-2e-3", v));
+  EXPECT_EQ(v, -2e-3);
+  EXPECT_TRUE(parse_double("inf", v));
+  EXPECT_TRUE(std::isinf(v));
+  EXPECT_TRUE(parse_double("nan", v));
+  EXPECT_TRUE(std::isnan(v));
+  // Underflow parses to the subnormal format_double_exact wrote.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  EXPECT_TRUE(parse_double(format_double_exact(tiny), v));
+  EXPECT_EQ(v, tiny);
+  EXPECT_TRUE(parse_double("1e-320", v));
+  EXPECT_EQ(v, 1e-320);
+  v = 7.0;
+  for (const char* bad : {"", " 1", "1 ", "1x", "x", "1e400", "-1e400"}) {
+    EXPECT_FALSE(parse_double(bad, v)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(v, 7.0);  // untouched on failure
 }
 
 TEST(Strings, Padding) {

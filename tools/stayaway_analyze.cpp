@@ -17,7 +17,10 @@
 //                    is likewise its own entry above core and may never
 //                    include sim/ (not even sim/vm.hpp): it reads hosts
 //                    through the core/pipeline.hpp seam and takes IDs
-//                    from core/stages/stage.hpp. System includes are
+//                    from core/stages/stage.hpp. One concurrency axis:
+//                    util/thread_pool.hpp is included in src/ only by
+//                    core/fleet.cpp (host-level parallelism), so no
+//                    kernel grows a second pool. System includes are
 //                    ignored — usage is policed by the determinism pass.
 //   lock-discipline  any mutable field of a class that owns a mutex must
 //                    carry SA_GUARDED_BY / SA_PT_GUARDED_BY
@@ -297,6 +300,13 @@ bool path_has_dir(const std::string& path, std::string_view dir) {
   return path.find(dir) != std::string::npos;
 }
 
+/// True when path names exactly `rel` (a repo-relative path), possibly
+/// under a prefix directory.
+bool path_is(const std::string& path, std::string_view rel) {
+  return path == rel || (path.ends_with(rel) &&
+                         path[path.size() - rel.size() - 1] == '/');
+}
+
 /// The deterministic domain: modules whose outputs must be reproducible
 /// from an explicit seed (sim/ so fault schedules stay seeded, replay/
 /// so run-logs replay byte-identically).
@@ -438,6 +448,18 @@ void include_graph_pass(const SourceFile& f, std::vector<Finding>& out) {
                            "; it reads host state through the "
                            "core/pipeline.hpp seam and actuates through "
                            "stage commands, never sim/ directly"});
+        continue;
+      }
+      // One concurrency axis: the fleet drives hosts on the thread pool;
+      // nothing below it may parallelize on its own.
+      if (!mod.empty() && t.text == "util/thread_pool.hpp" &&
+          !path_is(f.path, "src/core/fleet.cpp") &&
+          !path_is(f.path, "src/util/thread_pool.cpp")) {
+        out.push_back({f.path, t.line, "include-graph",
+                       "one-concurrency-axis",
+                       "only core/fleet.cpp may include " + t.text +
+                           "; host-level parallelism is the one "
+                           "concurrency axis, kernels stay sequential"});
         continue;
       }
       if (!mod.empty() && layering().count(dep) != 0 && dep != mod) {
@@ -1102,6 +1124,12 @@ std::vector<Fixture> self_test_fixtures() {
                {"layering"}});
   f.push_back({"checkpoint-include-core-ok", "src/core/checkpoint.hpp",
                "#pragma once\n#include \"core/pipeline.hpp\"\n",
+               {}});
+  f.push_back({"thread-pool-in-kernel", "src/mds/inc22.cpp",
+               "#include \"util/thread_pool.hpp\"\n",
+               {"one-concurrency-axis"}});
+  f.push_back({"thread-pool-in-fleet-ok", "src/core/fleet.cpp",
+               "#include \"util/thread_pool.hpp\"\n",
                {}});
   // --- lock discipline ---------------------------------------------------
   f.push_back({"unguarded-field", "src/obs/lock1.hpp",
