@@ -7,7 +7,7 @@
 #                                the golden digests must hold at -O3 too
 #   ./ci.sh --asan               AddressSanitizer + UBSan, Debug, full suite
 #   ./ci.sh --tsan               ThreadSanitizer, full suite (data races in the
-#                                fleet member pool / ingest rings / obs layer)
+#                                fleet member pool / obs layer)
 #   ./ci.sh --paranoid           STAYAWAY_PARANOID=ON Debug build: every
 #                                SA_INVARIANT audit enabled, full suite
 #   ./ci.sh --tidy               best-effort clang-tidy over src/ (skipped
@@ -28,10 +28,7 @@
 #                                set (must keep reproducing findings)
 #   ./ci.sh --ingest             streaming-ingestion gate (DESIGN.md §15):
 #                                the ingest test suite plus the bench_ingest
-#                                bounds (--smoke) in the tier-1 tree, then
-#                                the producer/consumer surfaces — 8 ring-fed
-#                                pipelines on a 4-worker pool — under
-#                                ThreadSanitizer
+#                                bounds (--smoke) in the tier-1 tree
 #   ./ci.sh --recovery           crash-recovery gate (DESIGN.md §17): the
 #                                checkpoint/restore test suite plus the
 #                                bench_recovery acceptance bounds (--smoke:
@@ -281,22 +278,14 @@ EOF
     ingest)
       # Streaming-ingestion gate (DESIGN.md §15): the ingest suite and the
       # bench_ingest acceptance bounds (>=5x ring throughput, flat
-      # landmark-incremental embed cost) in the tier-1 tree, then the
-      # producer/consumer protocol — one producer thread per host, 8
-      # ring-fed pipelines on a 4-worker fleet pool — under TSan.
+      # landmark-incremental embed cost) in the tier-1 tree. Ring sources
+      # start no thread; ring-fed worker invariance is pinned by
+      # IngestConcurrency.RingFedFleetMatchesSerialRun, which --tsan runs.
       cmake -B build -S . >/dev/null &&
         cmake --build build -j"$JOBS" --target test_ingest bench_ingest ||
         return 1
       ./build/tests/test_ingest || return 1
-      ./build/bench/bench_ingest --smoke || return 1
-      cmake -B build-tsan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
-        >/dev/null &&
-        cmake --build build-tsan -j"$JOBS" --target test_concurrency ||
-        return 1
-      ./build-tsan/tests/test_concurrency \
-        --gtest_filter='IngestConcurrency.*'
+      ./build/bench/bench_ingest --smoke
       ;;
     recovery)
       # Crash-recovery gate (DESIGN.md §17): the checkpoint codec + super-

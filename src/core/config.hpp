@@ -89,8 +89,8 @@ enum class EmbedMethod {
 enum class IngestSource {
   Synchronous,  // one Sampler::sample() per period — the historical,
                 // byte-identical default
-  Ring,         // a producer thread replays a trace into a per-host
-                // lock-free SPSC ring the pipeline drains every period
+  Ring,         // a replayed trace stream fills a bounded per-host
+                // ring the pipeline drains every period
 };
 
 /// Unified ingestion surface: the synchronous sampler, trace replay and
@@ -102,18 +102,18 @@ enum class IngestSource {
 /// byte-identical).
 struct IngestConfig {
   IngestSource source = IngestSource::Synchronous;
-  /// Producer emission rate in samples per simulated second (Ring only).
+  /// Stream emission rate in samples per simulated second (Ring only).
   double rate_hz = 4.0;
-  /// SPSC ring capacity in samples (rounded up to a power of two). A
-  /// full ring drops the push and counts the overflow — backpressure is
+  /// Ring capacity in samples (rounded up to a power of two). A full
+  /// ring drops the push and counts the overflow — backpressure is
   /// surfaced, never silently absorbed.
   std::size_t ring_capacity = 1024;
-  /// How far past the consumer's gate the producer may run ahead, in
+  /// How far past the drain clock each drain generates the stream, in
   /// simulated seconds. Samples inside the lookahead wait in the ring
   /// until their period.
   double lookahead_s = 0.25;
   /// Optional burst window: within [burst_start_s, burst_end_s) the
-  /// producer emits at burst_rate_hz instead of rate_hz. 0 disables the
+  /// stream emits at burst_rate_hz instead of rate_hz. 0 disables the
   /// burst. This is the window the fuzzer's shrinker minimizes.
   double burst_rate_hz = 0.0;
   double burst_start_s = 0.0;
@@ -173,7 +173,7 @@ struct StayAwayConfig {
   /// aggregation, measurement noise).
   monitor::SamplerConfig sampler;
   /// How samples reach the mapping stage (DESIGN.md §15): synchronous
-  /// one-per-period (default) or an async per-host ring feed.
+  /// one-per-period (default) or a per-host ring feed.
   IngestConfig ingest;
   std::uint64_t seed = 1234;
 };

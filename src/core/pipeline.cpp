@@ -9,8 +9,8 @@ namespace {
 
 /// Builds the configured SampleSource (DESIGN.md §15). The synchronous
 /// source is the default and keeps the record stream byte-identical to
-/// the historical loop; the ring source replays a diurnal trace through
-/// an async producer at config.ingest.rate_hz.
+/// the historical loop; the ring source replays a diurnal trace at
+/// config.ingest.rate_hz into a bounded ring drained each period.
 std::unique_ptr<monitor::SampleSource> make_sample_source(
     sim::SimHost& host, const StayAwayConfig& config,
     const monitor::CapacityNormalizer& normalizer) {
@@ -223,7 +223,6 @@ void HostPipeline::set_actuator(std::unique_ptr<Actuator> actuator) {
 
 bool HostPipeline::checkpointable() const {
   return (mapper_ == nullptr || mapper_->checkpointable()) &&
-         (forecaster_ == nullptr || forecaster_->checkpointable()) &&
          (actuator_ == nullptr || actuator_->checkpointable());
 }
 

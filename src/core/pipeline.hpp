@@ -118,8 +118,8 @@ class HostPipeline {
   SimHostActuationPort& actuation_port() { return *port_; }
 
   /// Checkpoint support (DESIGN.md §17). A pipeline is checkpointable
-  /// when every wired stage can snapshot its full state — the synchronous
-  /// sample source and a non-landmark embedder for the Stay-Away wiring.
+  /// when every wired stage can snapshot its full state — for the
+  /// Stay-Away wiring, any embedder but LandmarkIncremental.
   /// Non-checkpointable pipelines recover by cold replay instead.
   bool checkpointable() const;
   /// Snapshots everything on_period mutates except the record history

@@ -47,18 +47,12 @@ class Mapper {
   /// The labelled map the forecaster predicts over.
   virtual const StateSpace& space() const = 0;
 
-  /// Checkpoint support (DESIGN.md §17). Stages default to
-  /// non-checkpointable; pipelines whose stages cannot all snapshot
-  /// recover by cold replay instead. Callers gate on checkpointable().
-  virtual bool checkpointable() const { return false; }
-  virtual void save_state(util::StateWriter& w) const {
-    (void)w;
-    SA_CHECK(false, "save_state on a non-checkpointable mapper");
-  }
-  virtual void load_state(util::StateReader& r) {
-    (void)r;
-    SA_CHECK(false, "load_state on a non-checkpointable mapper");
-  }
+  /// Checkpoint support (DESIGN.md §17). Pipelines whose stages cannot
+  /// all snapshot recover by cold replay instead. Callers gate on
+  /// checkpointable(); save/load require it.
+  virtual bool checkpointable() const = 0;
+  virtual void save_state(util::StateWriter& w) const = 0;
+  virtual void load_state(util::StateReader& r) = 0;
 };
 
 /// Prediction stage (§3.2). forecast() observes the latest within-mode
@@ -72,16 +66,9 @@ class ViolationForecaster {
   virtual void forecast(const StateSpace& space, PeriodRecord& rec,
                         bool widened, obs::Observer* observer) = 0;
 
-  /// Checkpoint support (DESIGN.md §17); see Mapper.
-  virtual bool checkpointable() const { return false; }
-  virtual void save_state(util::StateWriter& w) const {
-    (void)w;
-    SA_CHECK(false, "save_state on a non-checkpointable forecaster");
-  }
-  virtual void load_state(util::StateReader& r) {
-    (void)r;
-    SA_CHECK(false, "load_state on a non-checkpointable forecaster");
-  }
+  /// Checkpoint support (DESIGN.md §17): every forecaster snapshots.
+  virtual void save_state(util::StateWriter& w) const = 0;
+  virtual void load_state(util::StateReader& r) = 0;
 };
 
 /// Action stage (§3.3). act() reconciles any outstanding actuation,
@@ -107,7 +94,8 @@ class Actuator {
                       DegradationState degradation,
                       obs::Observer* observer) = 0;
 
-  /// Checkpoint support (DESIGN.md §17); see Mapper.
+  /// Checkpoint support (DESIGN.md §17). Actuators default to
+  /// non-checkpointable (the baseline policies); see Mapper.
   virtual bool checkpointable() const { return false; }
   virtual void save_state(util::StateWriter& w) const {
     (void)w;

@@ -1,7 +1,9 @@
 #include "monitor/sample_source.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "util/check.hpp"
@@ -10,15 +12,42 @@ namespace stayaway::monitor {
 
 namespace {
 
-/// Delayed samples a producer holds back at once. Bounded so a saturated
+/// Delayed samples the stream holds back at once. Bounded so a saturated
 /// ingest-delay window degrades into plain lateness instead of growing
-/// an unbounded producer-side queue.
+/// an unbounded hold-back queue.
 constexpr std::size_t kMaxHeld = 4;
+
+/// Largest ring capacity whose power-of-two round-up fits in size_t.
+constexpr std::size_t kMaxCapacity =
+    (std::numeric_limits<std::size_t>::max() >> 1) + 1;
+
+/// Sim-seconds -> trace-seconds: how fast the replayed trace advances
+/// relative to the control clock. Sweeps one diurnal day (86400
+/// trace-seconds) in 300 simulated seconds.
+constexpr double kTraceSecondsPerSimSecond = 288.0;
 
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
   // Golden-ratio xor-mix, same family as fleet_host_seed: decorrelates
   // the ingest-anomaly stream from the value-noise stream.
   return (a ^ 0x9e3779b97f4a7c15ULL) + (b << 1);
+}
+
+void save_sample(util::StateWriter& w, const TimedSample& s) {
+  w.u64("sample_sequence", s.sequence);
+  w.real("sample_time", s.measurement.time);
+  w.reals("sample_values", s.measurement.values);
+}
+
+TimedSample load_sample(util::StateReader& r, std::size_t dimension) {
+  TimedSample s;
+  s.sequence = r.u64("sample_sequence");
+  s.measurement.time = r.real("sample_time");
+  s.measurement.values = r.reals("sample_values");
+  if (s.measurement.values.size() != dimension) {
+    throw util::StateCodecError(
+        "ring source state: sample dimension does not match the layout");
+  }
+  return s;
 }
 
 }  // namespace
@@ -33,16 +62,6 @@ DrainReport SynchronousSampleSource::drain(double now,
   DrainReport report;
   report.delivered = 1;
   return report;
-}
-
-void SampleSource::save_state(util::StateWriter& w) const {
-  (void)w;
-  SA_CHECK(false, "save_state on a non-checkpointable sample source");
-}
-
-void SampleSource::load_state(util::StateReader& r) {
-  (void)r;
-  SA_CHECK(false, "load_state on a non-checkpointable sample source");
 }
 
 void SynchronousSampleSource::save_state(util::StateWriter& w) const {
@@ -63,58 +82,43 @@ RingSampleSource::RingSampleSource(MetricLayout layout,
       scale_(std::move(scale)),
       trace_(std::move(trace)),
       options_(options),
-      ring_(options.ring_capacity),
       value_rng_(options.seed) {
   SA_REQUIRE(layout_.dimension() > 0, "ring source needs a non-empty layout");
   SA_REQUIRE(scale_.size() == layout_.dimension(),
              "scale vector must match the layout dimension");
-  SA_REQUIRE(options_.rate_hz > 0.0, "ingest rate must be positive");
-  SA_REQUIRE(options_.lookahead_s >= 0.0, "lookahead must be non-negative");
+  // Finite rates and lookahead: an infinite rate makes the emission
+  // interval 0 and an infinite lookahead an unbounded horizon, so
+  // generation would never catch up with the drain clock.
+  SA_REQUIRE(options_.rate_hz > 0.0 && std::isfinite(options_.rate_hz),
+             "ingest rate must be positive and finite");
+  SA_REQUIRE(options_.lookahead_s >= 0.0 && std::isfinite(options_.lookahead_s),
+             "lookahead must be non-negative and finite");
   SA_REQUIRE(options_.noise_fraction >= 0.0,
              "noise fraction must be non-negative");
-  SA_REQUIRE(options_.time_scale > 0.0, "time scale must be positive");
-  SA_REQUIRE(options_.burst_rate_hz >= 0.0,
-             "burst rate must be non-negative");
+  SA_REQUIRE(
+      options_.burst_rate_hz >= 0.0 && std::isfinite(options_.burst_rate_hz),
+      "burst rate must be non-negative and finite");
   if (options_.burst_rate_hz > 0.0) {
     SA_REQUIRE(options_.burst_end_s > options_.burst_start_s,
                "burst window must satisfy end > start");
   }
+  SA_REQUIRE(options_.ring_capacity > 0 &&
+                 options_.ring_capacity <= kMaxCapacity,
+             "ring capacity must be positive and round up to a power of two "
+             "within size_t");
+  capacity_ = std::bit_ceil(options_.ring_capacity);
   // Per-dimension demand mix: each metric tracks the shared trace with
   // its own seed-derived weight, so dimensions are correlated (one
   // latent intensity) without being identical — the same premise the
   // host sampler's allocations follow.
   mix_.resize(layout_.dimension());
   for (double& w : mix_) w = 0.35 + 0.6 * value_rng_.uniform();
-  // The producer starts parked: the gate opens at the first drain(), so
-  // install_faults (required before the first period) always precedes
-  // the first generated sample.
-  producer_ = std::thread([this] { producer_loop(); });
-}
-
-RingSampleSource::~RingSampleSource() {
-  {
-    util::MutexLock lock(mutex_);
-    stop_ = true;
-  }
-  producer_cv_.notify_all();
-  if (producer_.joinable()) producer_.join();
 }
 
 void RingSampleSource::set_fault_injector(sim::FaultInjector* injector) {
-  util::MutexLock lock(mutex_);
-  SA_REQUIRE(gate_ == -std::numeric_limits<double>::infinity(),
+  SA_REQUIRE(!started_,
              "the fault injector must be attached before the first drain");
   injector_ = injector;
-  ingest_specs_.clear();
-  ingest_seed_ = 0;
-  if (injector == nullptr) return;
-  ingest_seed_ = injector->plan().seed;
-  for (const sim::FaultSpec& f : injector->plan().faults) {
-    if (f.kind == sim::FaultKind::IngestDelay ||
-        f.kind == sim::FaultKind::IngestDuplicate) {
-      ingest_specs_.push_back(f);
-    }
-  }
 }
 
 double RingSampleSource::interval_at(double t) const {
@@ -131,7 +135,7 @@ Measurement RingSampleSource::synthesize(double t) {
   m.time = t;
   const double span = trace_.duration();
   const double tt =
-      span > 0.0 ? std::fmod(t * options_.time_scale, span) : 0.0;
+      span > 0.0 ? std::fmod(t * kTraceSecondsPerSimSecond, span) : 0.0;
   const double intensity = trace_.normalized_at(tt);
   m.values.resize(layout_.dimension());
   for (std::size_t d = 0; d < m.values.size(); ++d) {
@@ -143,50 +147,36 @@ Measurement RingSampleSource::synthesize(double t) {
 }
 
 void RingSampleSource::emit(TimedSample sample) {
-  // A full ring counts the drop (ring_.dropped()); the producer never
-  // blocks on backpressure — the consumer surfaces it instead.
-  ring_.try_push(std::move(sample));
+  // A full ring drops the push and counts it; generation never waits on
+  // backpressure — the consumer surfaces it instead.
+  if (ring_.size() >= capacity_) {
+    ++dropped_;
+    return;
+  }
+  ring_.push_back(std::move(sample));
 }
 
-void RingSampleSource::producer_loop() {
+void RingSampleSource::generate_until(double horizon) {
+  // Ingest-delayed samples; flushed before this returns, so they never
+  // outlive a drain and are not part of the checkpointed state.
   std::vector<TimedSample> held;
-  std::optional<Rng> ingest_rng;
-  double t = 0.0;
-  std::uint64_t seq = 0;
-  util::MutexLock lock(mutex_);
-  for (;;) {
-    if (t > gate_ + options_.lookahead_s) {
-      // Caught up with the consumer's clock: flush any held-back samples
-      // (they now arrive behind newer ones — the late/out-of-order
-      // anomaly), publish how far the stream is settled, and park until
-      // the gate advances.
-      for (TimedSample& h : held) emit(std::move(h));
-      held.clear();
-      watermark_ = t;
-      consumer_cv_.notify_all();
-      producer_cv_.wait(mutex_, [&] {
-        mutex_.assert_held();
-        return stop_ || t <= gate_ + options_.lookahead_s;
-      });
-    }
-    if (stop_) break;
-    if (!ingest_rng.has_value()) {
-      // First generation strictly follows install_faults (the gate only
-      // opens at the first drain), so the plan-derived schedule is final.
-      ingest_rng.emplace(mix_seed(ingest_seed_, options_.seed));
-    }
+  static const std::vector<sim::FaultSpec> kNoFaults;
+  const std::vector<sim::FaultSpec>& faults =
+      injector_ != nullptr ? injector_->plan().faults : kNoFaults;
+  while (next_time_ <= horizon) {
+    const double t = next_time_;
     TimedSample s;
-    s.sequence = seq++;
+    s.sequence = next_sequence_++;
     s.measurement = synthesize(t);
     bool delayed = false;
     bool duplicated = false;
-    for (const sim::FaultSpec& f : ingest_specs_) {
+    for (const sim::FaultSpec& f : faults) {
       if (!f.active(t)) continue;
       if (f.kind == sim::FaultKind::IngestDelay &&
-          ingest_rng->chance(f.probability)) {
+          ingest_rng_.chance(f.probability)) {
         delayed = true;
       } else if (f.kind == sim::FaultKind::IngestDuplicate &&
-                 ingest_rng->chance(f.probability)) {
+                 ingest_rng_.chance(f.probability)) {
         duplicated = true;
       }
     }
@@ -200,26 +190,32 @@ void RingSampleSource::producer_loop() {
       for (TimedSample& h : held) emit(std::move(h));
       held.clear();
     }
-    t += interval_at(t);
+    next_time_ = t + interval_at(t);
   }
+  // Caught up with the drain clock: flush any held-back samples (they
+  // now arrive behind newer ones — the late/out-of-order anomaly).
+  for (TimedSample& h : held) emit(std::move(h));
+  held.clear();
 }
 
 DrainReport RingSampleSource::drain(double now,
                                     std::vector<TimedSample>& out) {
-  DrainReport report;
-  {
-    util::MutexLock lock(mutex_);
-    gate_ = now;
-    producer_cv_.notify_all();
-    consumer_cv_.wait(mutex_, [&] {
-      mutex_.assert_held();
-      return stop_ || watermark_ > now;
-    });
+  if (!started_) {
+    // The fault plan is final from here on (set_fault_injector requires
+    // it), so the ingest-anomaly schedule can be seeded.
+    const std::uint64_t plan_seed =
+        injector_ != nullptr ? injector_->plan().seed : 0;
+    ingest_rng_ = Rng(mix_seed(plan_seed, options_.seed));
+    started_ = true;
   }
-  // The producer is parked waiting for the gate to pass its next sample
-  // time: every sample due by `now` is settled in the ring, nothing else
-  // pops it, and the occupancy any push saw was fixed by previous drains
-  // — the whole stream (overflow included) is schedule-independent.
+  // Drops only happen while generating, so this pass's drops are the
+  // overflow since the previous drain.
+  const std::uint64_t dropped_before = dropped_;
+  generate_until(now + options_.lookahead_s);
+  // Every sample due by `now` is now in the ring, and the occupancy any
+  // push saw was fixed by previous drains.
+  DrainReport report;
+  report.overflow = static_cast<std::size_t>(dropped_ - dropped_before);
   auto deliver = [&](TimedSample s) {
     if (injector_ != nullptr) {
       injector_->corrupt_sample(s.measurement.time, s.measurement.values);
@@ -232,19 +228,50 @@ DrainReport RingSampleSource::drain(double now,
     deliver(std::move(*pending_));
     pending_.reset();
   }
-  if (!pending_.has_value()) {
-    while (std::optional<TimedSample> s = ring_.try_pop()) {
-      if (s->measurement.time > now) {
-        pending_ = std::move(*s);
-        break;
-      }
-      deliver(std::move(*s));
+  while (!pending_.has_value() && !ring_.empty()) {
+    TimedSample s = std::move(ring_.front());
+    ring_.pop_front();
+    if (s.measurement.time > now) {
+      pending_ = std::move(s);
+    } else {
+      deliver(std::move(s));
     }
   }
-  const std::uint64_t dropped = ring_.dropped();
-  report.overflow = static_cast<std::size_t>(dropped - overflow_reported_);
-  overflow_reported_ = dropped;
   return report;
+}
+
+void RingSampleSource::save_state(util::StateWriter& w) const {
+  w.boolean("ring_started", started_);
+  w.real("ring_next_time", next_time_);
+  w.u64("ring_next_sequence", next_sequence_);
+  w.line("ring_value_rng", value_rng_.save_state());
+  w.line("ring_ingest_rng", ingest_rng_.save_state());
+  w.u64("ring_queued", ring_.size());
+  for (const TimedSample& s : ring_) save_sample(w, s);
+  w.boolean("ring_pending", pending_.has_value());
+  if (pending_.has_value()) save_sample(w, *pending_);
+  w.u64("ring_dropped", dropped_);
+  w.u64("ring_delivered", delivered_total_);
+}
+
+void RingSampleSource::load_state(util::StateReader& r) {
+  started_ = r.boolean("ring_started");
+  next_time_ = r.real("ring_next_time");
+  next_sequence_ = r.u64("ring_next_sequence");
+  value_rng_.load_state(r.line("ring_value_rng"));
+  ingest_rng_.load_state(r.line("ring_ingest_rng"));
+  const std::uint64_t queued = r.u64("ring_queued");
+  if (queued > capacity_) {
+    throw util::StateCodecError("ring source state: ring over capacity");
+  }
+  ring_.clear();
+  for (std::uint64_t i = 0; i < queued; ++i) {
+    ring_.push_back(load_sample(r, layout_.dimension()));
+  }
+  pending_.reset();
+  if (r.boolean("ring_pending")) pending_ = load_sample(r, layout_.dimension());
+  dropped_ = r.u64("ring_dropped");
+  delivered_total_ = r.u64("ring_delivered");
 }
 
 }  // namespace stayaway::monitor

@@ -8,29 +8,26 @@
 //   SynchronousSampleSource  wraps HostSampler; drain() takes exactly
 //                            one sample — byte-identical to the
 //                            historical loop (golden tests).
-//   RingSampleSource         a producer thread replays a trace into a
-//                            lock-free SPSC ring (util/spsc_ring.hpp)
-//                            at a configured rate; drain() pops every
-//                            sample due by `now`. Overflow (full ring)
-//                            is counted, never blocking; late/
-//                            out-of-order/duplicate anomalies are
-//                            injected by the producer from the fault
+//   RingSampleSource         replays a trace at a configured rate into a
+//                            bounded ring; drain() pops every sample due
+//                            by `now`. Overflow (full ring) is counted,
+//                            never blocking; late/out-of-order/duplicate
+//                            anomalies are injected from the fault
 //                            plan's ingest-delay / ingest-dup cases and
 //                            classified downstream by SampleQuarantine.
 //
-// Determinism contract (what record/replay rests on): the producer only
-// emits samples with time <= gate + lookahead, where the gate is the
-// consumer's drain clock, and drain() waits until the producer's
-// watermark passes `now` before popping. Pushes therefore always run
-// against a ring occupancy fixed by previous drains, so the sample
-// stream — including every overflow drop — is a pure function of the
-// seed and the config, never of thread scheduling.
+// Determinism contract (what record/replay and checkpoints rest on): the
+// ring source is pulled, not raced. drain(now) first generates every
+// sample with time <= now + lookahead into the ring, then pops. Pushes
+// therefore always run against a ring occupancy fixed by previous
+// drains, so the sample stream — including every overflow drop — is a
+// pure function of the seed and the config, and the whole source state
+// can be saved and restored like any other stage's.
 #pragma once
 
 #include <cstdint>
-#include <limits>
+#include <deque>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "monitor/measurement.hpp"
@@ -38,14 +35,13 @@
 #include "sim/faults.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_ring.hpp"
-#include "util/sync.hpp"
+#include "util/statecodec.hpp"
 
 namespace stayaway::monitor {
 
-/// One streamed measurement. `sequence` is the producer's emission
-/// index; a duplicated delivery reuses its original's sequence, which is
-/// how the quarantine recognizes it.
+/// One streamed measurement. `sequence` is the stream's emission index;
+/// a duplicated delivery reuses its original's sequence, which is how
+/// the quarantine recognizes it.
 struct TimedSample {
   std::uint64_t sequence = 0;
   Measurement measurement;
@@ -55,7 +51,7 @@ struct TimedSample {
 struct DrainReport {
   /// Samples appended to the caller's buffer.
   std::size_t delivered = 0;
-  /// Producer pushes rejected by a full ring since the previous drain.
+  /// Pushes rejected by a full ring since the previous drain.
   std::size_t overflow = 0;
 };
 
@@ -65,7 +61,7 @@ class SampleSource {
 
   virtual const MetricLayout& layout() const = 0;
 
-  /// True for asynchronous implementations. The mapper only fills the
+  /// True for streaming implementations. The mapper only fills the
   /// PeriodRecord's ingest telemetry for streaming sources, so the
   /// synchronous record stream stays byte-identical to the historical
   /// format.
@@ -83,14 +79,11 @@ class SampleSource {
   /// Samples delivered across the source's lifetime (observability).
   virtual std::uint64_t samples_taken() const = 0;
 
-  /// Checkpoint support (DESIGN.md §17). Only the synchronous source is
-  /// checkpointable — a ring source's producer thread cannot be rewound
-  /// mid-stream, so pipelines fed by one recover by cold replay instead.
-  /// The save/load defaults fail loudly; callers must gate on
-  /// checkpointable() first.
-  virtual bool checkpointable() const { return false; }
-  virtual void save_state(util::StateWriter& w) const;
-  virtual void load_state(util::StateReader& r);
+  /// Checkpoint support (DESIGN.md §17): the full stream state, so a
+  /// restored source delivers exactly what the original would have.
+  /// load_state runs on a freshly built source of the same config.
+  virtual void save_state(util::StateWriter& w) const = 0;
+  virtual void load_state(util::StateReader& r) = 0;
 };
 
 /// The historical path: one HostSampler reading per drain. Exists so
@@ -114,11 +107,8 @@ class SynchronousSampleSource final : public SampleSource {
     return sampler_.samples_taken();
   }
 
-  bool checkpointable() const override { return true; }
   void save_state(util::StateWriter& w) const override;
   void load_state(util::StateReader& r) override;
-
-  const HostSampler& sampler() const { return sampler_; }
 
  private:
   HostSampler sampler_;
@@ -130,7 +120,7 @@ class SynchronousSampleSource final : public SampleSource {
 struct RingStreamOptions {
   /// Emission rate in samples per simulated second.
   double rate_hz = 4.0;
-  /// Producer may run this far past the consumer's gate.
+  /// Generation runs this far past the drain clock.
   double lookahead_s = 0.25;
   /// Ring capacity in samples (rounded up to a power of two).
   std::size_t ring_capacity = 1024;
@@ -140,26 +130,18 @@ struct RingStreamOptions {
   double burst_end_s = 0.0;
   /// Multiplicative gaussian measurement noise per reading.
   double noise_fraction = 0.01;
-  /// Sim-seconds -> trace-seconds: how fast the replayed trace advances
-  /// relative to the control clock. The default sweeps one diurnal day
-  /// (86400 trace-seconds) in 300 simulated seconds.
-  double time_scale = 288.0;
-  /// Seeds the producer's value noise and per-dimension demand mix.
+  /// Seeds the value noise and per-dimension demand mix.
   std::uint64_t seed = 17;
 };
 
 class RingSampleSource final : public SampleSource {
  public:
   /// `scale[d]` is the full-scale raw value of flat dimension d (the
-  /// host capacity of its metric kind); the producer emits
+  /// host capacity of its metric kind); the stream carries
   /// scale * mix * trace intensity plus noise. The trace replays on a
-  /// loop via RingStreamOptions::time_scale.
+  /// loop, one diurnal day per 300 simulated seconds.
   RingSampleSource(MetricLayout layout, std::vector<double> scale,
                    trace::Trace trace, RingStreamOptions options);
-  ~RingSampleSource() override;
-
-  RingSampleSource(const RingSampleSource&) = delete;
-  RingSampleSource& operator=(const RingSampleSource&) = delete;
 
   const MetricLayout& layout() const override { return layout_; }
   bool streaming() const override { return true; }
@@ -170,60 +152,43 @@ class RingSampleSource final : public SampleSource {
 
   std::uint64_t samples_taken() const override { return delivered_total_; }
 
-  /// Producer pushes dropped by a full ring so far (observability).
-  std::uint64_t overflow_total() const { return ring_.dropped(); }
+  /// Pushes dropped by a full ring so far (observability).
+  std::uint64_t overflow_total() const { return dropped_; }
 
-  const RingStreamOptions& options() const { return options_; }
+  void save_state(util::StateWriter& w) const override;
+  void load_state(util::StateReader& r) override;
 
  private:
-  void producer_loop();
+  /// Generates every sample with time <= horizon into the ring.
+  void generate_until(double horizon);
   /// Emission interval at simulated time t (burst window aware).
   double interval_at(double t) const;
   Measurement synthesize(double t);
-  /// Pushes one sample; a full ring counts the drop inside the ring.
+  /// Pushes one sample; a full ring drops and counts it.
   void emit(TimedSample sample);
 
-  // --- Immutable after construction (read by both threads). ------------
-  // sa-lint: unguarded(immutable after construction)
+  // --- Fixed at construction. --------------------------------------------
   MetricLayout layout_;
-  // sa-lint: unguarded(immutable after construction)
   std::vector<double> scale_;
-  // sa-lint: unguarded(immutable after construction; seeded in the ctor)
   std::vector<double> mix_;  // per-dimension demand weight, seed-derived
-  // sa-lint: unguarded(immutable after construction)
   trace::Trace trace_;
-  // sa-lint: unguarded(immutable after construction)
   RingStreamOptions options_;
+  std::size_t capacity_ = 0;  // options_.ring_capacity rounded up
 
-  // sa-lint: unguarded(internally synchronized lock-free SPSC ring)
-  util::SpscRing<TimedSample> ring_;
-  // sa-lint: unguarded(producer thread only after the ctor's mix draw)
-  Rng value_rng_;
-
-  // --- Producer <-> consumer gate protocol (see file comment). ---------
-  util::Mutex mutex_;
-  util::CondVar producer_cv_;
-  util::CondVar consumer_cv_;
-  double gate_ SA_GUARDED_BY(mutex_) =
-      -std::numeric_limits<double>::infinity();
-  double watermark_ SA_GUARDED_BY(mutex_) =
-      -std::numeric_limits<double>::infinity();
-  bool stop_ SA_GUARDED_BY(mutex_) = false;
-  std::vector<sim::FaultSpec> ingest_specs_ SA_GUARDED_BY(mutex_);
-  std::uint64_t ingest_seed_ SA_GUARDED_BY(mutex_) = 0;
-
-  // --- Consumer-side state (control thread only). -----------------------
-  // sa-lint: unguarded(consumer thread only)
+  // Fixed before the first drain: its plan's ingest-delay / ingest-dup
+  // specs shape the stream, its sensor faults every delivered sample.
   sim::FaultInjector* injector_ = nullptr;
-  // sa-lint: unguarded(consumer thread only)
-  std::optional<TimedSample> pending_;  // popped but not yet due
-  // sa-lint: unguarded(consumer thread only)
-  std::uint64_t delivered_total_ = 0;
-  // sa-lint: unguarded(consumer thread only)
-  std::uint64_t overflow_reported_ = 0;
 
-  // sa-lint: unguarded(started last in the ctor, joined in the dtor)
-  std::thread producer_;  // last member: starts after everything above
+  // --- Stream state (checkpointed). --------------------------------------
+  bool started_ = false;  // the first drain happened
+  double next_time_ = 0.0;
+  std::uint64_t next_sequence_ = 0;
+  Rng value_rng_;
+  Rng ingest_rng_{0};  // seeded at the first drain
+  std::deque<TimedSample> ring_;
+  std::optional<TimedSample> pending_;  // popped but not yet due
+  std::uint64_t dropped_ = 0;
+  std::uint64_t delivered_total_ = 0;
 };
 
 }  // namespace stayaway::monitor

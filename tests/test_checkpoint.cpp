@@ -344,6 +344,54 @@ TEST(SupervisorGolden, HostCrashWarmRestartIsByteIdentical) {
       });
 }
 
+TEST(SupervisorGolden, RingIngestHostWarmRestartIsByteIdentical) {
+  // A ring-fed host (DESIGN.md §15) with the default embedder warm-
+  // restores like a synchronous one. The burst window overflows the
+  // small ring before the period-19 checkpoint the crash restores from;
+  // at the normal rate the lookahead leaves a popped-but-not-due sample
+  // and queued ones behind every drain; ingest-delay/-dup faults make
+  // the stream hold samples back and push duplicates.
+  ExperimentSpec clean = short_spec();
+  clean.stayaway.ingest.source = core::IngestSource::Ring;
+  clean.stayaway.ingest.rate_hz = 16.0;
+  clean.stayaway.ingest.ring_capacity = 32;
+  clean.stayaway.ingest.burst_rate_hz = 128.0;
+  clean.stayaway.ingest.burst_start_s = 6.0;
+  clean.stayaway.ingest.burst_end_s = 10.0;
+  sim::FaultPlan plan;
+  plan.seed = 4;
+  plan.faults.push_back(fault_of(sim::FaultKind::IngestDelay, 0.0, 40.0, 0.5));
+  plan.faults.push_back(
+      fault_of(sim::FaultKind::IngestDuplicate, 0.0, 40.0, 0.3));
+  clean.faults = plan;
+  FleetHostResult baseline = run_supervised(clean);
+  EXPECT_FALSE(baseline.recovery.any_failures());
+
+  std::size_t overflow = 0, late = 0, duplicates = 0;
+  for (const core::PeriodRecord& rec : baseline.result.stayaway_records) {
+    if (rec.time < 19.0) overflow += rec.overflow_drops;
+    late += rec.late_samples;
+    duplicates += rec.duplicate_samples;
+  }
+  EXPECT_GT(overflow, 0u);
+  EXPECT_GT(late, 0u);
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_NE(baseline.final_checkpoint.find("ring_pending = true"),
+            std::string::npos);
+
+  ExperimentSpec faulted = clean;
+  faulted.faults->faults.push_back(
+      fault_of(sim::FaultKind::HostCrash, 22.0, 23.0));
+  FleetHostResult crashed = run_supervised(faulted, /*checkpoint_every=*/5);
+  expect_records_byte_identical(crashed.result.stayaway_records,
+                                baseline.result.stayaway_records);
+  EXPECT_GE(crashed.recovery.crashes, 1u);
+  EXPECT_EQ(crashed.recovery.divergences, 0u);
+  EXPECT_EQ(crashed.recovery.cold_starts, 0u);
+  EXPECT_GT(crashed.recovery.checkpoints_saved, 0u);
+  EXPECT_GT(crashed.recovery.gap_periods_replayed, 0u);
+}
+
 TEST(SupervisorGolden, StageThrowIsTrappedAndByteIdentical) {
   expect_crash_run_matches_clean(
       {fault_of(sim::FaultKind::StageThrow, 15.0, 16.0)},

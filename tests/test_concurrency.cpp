@@ -90,12 +90,12 @@ TEST(FleetConcurrency, EightPipelinesOnFourWorkersMatchSerialRun) {
   EXPECT_GT(sink.emitted(), kHosts * 200);
 }
 
-// DESIGN.md §15: streaming ingestion adds one producer thread per host —
-// with 8 ring-fed pipelines on a 4-worker fleet pool that is 8 producers,
-// 4 consumers and the control thread all live at once. The gate/watermark
-// protocol must keep thread scheduling invisible: the parallel fleet's
-// record streams (ingest telemetry included) must match a serial run of
-// the identical fleet. Runs under TSan via `ci.sh --ingest`.
+// DESIGN.md §15: ring ingestion is a pull source that starts no thread,
+// so with 8 ring-fed pipelines on a 4-worker fleet pool the only
+// concurrency is the fleet's own. The delivered stream — every overflow
+// drop and ingest telemetry field included — must stay a pure function
+// of seed and config: the parallel fleet's record streams must match a
+// serial run of the identical fleet. Runs under TSan via `ci.sh --tsan`.
 TEST(IngestConcurrency, RingFedFleetMatchesSerialRun) {
   harness::ExperimentSpec base;
   base.sensitive = harness::SensitiveKind::VlcStream;

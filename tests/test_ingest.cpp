@@ -1,6 +1,7 @@
-// Streaming ingestion (DESIGN.md §15): the SPSC transport, the
-// RingSampleSource determinism contract, quarantine admission of late/
-// out-of-order/duplicate samples, the ingest-aware run-log and scenario
+// Streaming ingestion (DESIGN.md §15): the RingSampleSource
+// determinism contract, config validation and checkpoint round trip,
+// quarantine admission of late/out-of-order/duplicate samples, the
+// ingest-aware run-log and scenario
 // formats, the LandmarkIncremental embed regime, and the fuzzer's
 // ingest-overflow detector.
 #include <gtest/gtest.h>
@@ -26,60 +27,14 @@
 #include "replay/run_log.hpp"
 #include "sim/faults.hpp"
 #include "trace/diurnal.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_ring.hpp"
+#include "util/statecodec.hpp"
 
 namespace stayaway {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// --- SPSC ring. ---------------------------------------------------------
-
-TEST(SpscRing, FifoOrderAndCounters) {
-  util::SpscRing<int> ring(8);
-  EXPECT_EQ(ring.capacity(), 8u);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_EQ(ring.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    auto v = ring.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(ring.try_pop().has_value());
-  EXPECT_EQ(ring.pushed(), 5u);
-  EXPECT_EQ(ring.popped(), 5u);
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  util::SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-}
-
-TEST(SpscRing, FullRingDropsAndCounts) {
-  util::SpscRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));
-  EXPECT_FALSE(ring.try_push(100));
-  EXPECT_EQ(ring.dropped(), 2u);
-  // The dropped values never entered the stream.
-  ASSERT_TRUE(ring.try_pop().has_value());
-  EXPECT_TRUE(ring.try_push(4));
-  std::vector<int> rest;
-  while (auto v = ring.try_pop()) rest.push_back(*v);
-  EXPECT_EQ(rest, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(SpscRing, WrapsAroundManyTimes) {
-  util::SpscRing<std::uint64_t> ring(4);
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.try_push(i));
-    auto v = ring.try_pop();
-    ASSERT_TRUE(v.has_value());
-    ASSERT_EQ(*v, i);
-  }
-}
 
 // --- Quarantine admission gate. -----------------------------------------
 
@@ -258,6 +213,108 @@ TEST(RingSampleSource, IngestFaultsProduceLateAndDuplicateSamples) {
   }
   EXPECT_GT(late, 0u);
   EXPECT_GT(dup, 0u);
+}
+
+TEST(RingSampleSource, RejectsNonFiniteRatesAndUnroundableCapacity) {
+  constexpr std::size_t kMaxSize = std::numeric_limits<std::size_t>::max();
+  // Each value used to be accepted and then hang: an infinite rate or
+  // lookahead never lets generation catch up with the drain clock, and a
+  // capacity above 2^63 has no power-of-two round-up in size_t.
+  struct Case {
+    const char* name;
+    void (*apply)(monitor::RingStreamOptions&);
+  };
+  const Case cases[] = {
+      {"rate_hz = inf",
+       [](monitor::RingStreamOptions& o) { o.rate_hz = kInf; }},
+      {"burst_rate_hz = inf",
+       [](monitor::RingStreamOptions& o) {
+         o.burst_rate_hz = kInf;
+         o.burst_start_s = 1.0;
+         o.burst_end_s = 2.0;
+       }},
+      {"lookahead_s = inf",
+       [](monitor::RingStreamOptions& o) { o.lookahead_s = kInf; }},
+      {"ring_capacity = 2^63 + 1",
+       [](monitor::RingStreamOptions& o) {
+         o.ring_capacity = (kMaxSize >> 1) + 2;
+       }},
+      {"ring_capacity = SIZE_MAX",
+       [](monitor::RingStreamOptions& o) { o.ring_capacity = kMaxSize; }},
+  };
+  for (const Case& c : cases) {
+    monitor::RingStreamOptions options;
+    c.apply(options);
+    EXPECT_THROW(make_ring(options), PreconditionError) << c.name;
+  }
+  // The largest capacity that still rounds up is accepted (the ring
+  // grows with its contents, so nothing that size is allocated).
+  monitor::RingStreamOptions edge;
+  edge.ring_capacity = (kMaxSize >> 1) + 1;
+  EXPECT_NO_THROW(make_ring(edge));
+}
+
+TEST(RingSampleSource, RestoredSourceContinuesTheStream) {
+  monitor::RingStreamOptions options;
+  options.rate_hz = 32.0;
+  options.ring_capacity = 8;
+  options.seed = 21;
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  plan.faults.push_back({sim::FaultKind::IngestDelay, 0.0, kInf, 0.8, 1.0, -1});
+  plan.faults.push_back(
+      {sim::FaultKind::IngestDuplicate, 0.0, kInf, 0.4, 1.0, -1});
+
+  sim::FaultInjector injector_a(plan);
+  auto original = make_ring(options);
+  original->set_fault_injector(&injector_a);
+  drain_all(*original, {1.0, 2.0, 3.5});
+  ASSERT_GT(original->overflow_total(), 0u);
+  std::ostringstream blob;
+  util::StateWriter writer(blob);
+  original->save_state(writer);
+  injector_a.save_state(writer);
+
+  // A fresh source of the same config resumes from the snapshot, and
+  // re-encodes it byte for byte.
+  sim::FaultInjector injector_b(plan);
+  auto restored = make_ring(options);
+  restored->set_fault_injector(&injector_b);
+  std::istringstream in(blob.str());
+  util::StateReader reader(in);
+  restored->load_state(reader);
+  injector_b.load_state(reader);
+  std::ostringstream again;
+  util::StateWriter rewriter(again);
+  restored->save_state(rewriter);
+  injector_b.save_state(rewriter);
+  EXPECT_EQ(again.str(), blob.str());
+
+  const std::vector<double> rest = {4.0, 6.0, 9.0};
+  std::size_t overflow_a = 0, overflow_b = 0;
+  std::vector<monitor::TimedSample> sa =
+      drain_all(*original, rest, &overflow_a);
+  std::vector<monitor::TimedSample> sb =
+      drain_all(*restored, rest, &overflow_b);
+  ASSERT_EQ(sa.size(), sb.size());
+  ASSERT_GT(sa.size(), 0u);
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].sequence, sb[i].sequence);
+    EXPECT_EQ(sa[i].measurement.time, sb[i].measurement.time);
+    EXPECT_EQ(sa[i].measurement.values, sb[i].measurement.values);
+  }
+  EXPECT_GT(overflow_a, 0u);
+  EXPECT_EQ(overflow_a, overflow_b);
+  EXPECT_EQ(original->samples_taken(), restored->samples_taken());
+  EXPECT_EQ(original->overflow_total(), restored->overflow_total());
+}
+
+TEST(RingSampleSource, FaultInjectorMustPrecedeTheFirstDrain) {
+  auto source = make_ring(monitor::RingStreamOptions{});
+  std::vector<monitor::TimedSample> out;
+  source->drain(1.0, out);
+  sim::FaultInjector injector(sim::FaultPlan{});
+  EXPECT_THROW(source->set_fault_injector(&injector), PreconditionError);
 }
 
 // --- The ring-fed pipeline end to end. ----------------------------------

@@ -19,8 +19,11 @@
 //                    through the core/pipeline.hpp seam and takes IDs
 //                    from core/stages/stage.hpp. One concurrency axis:
 //                    util/thread_pool.hpp is included in src/ only by
-//                    core/fleet.cpp (host-level parallelism), so no
-//                    kernel grows a second pool. System includes are
+//                    core/fleet.cpp (host-level parallelism), and
+//                    <thread>, std::thread, std::jthread and std::async
+//                    appear in src/ only in util/thread_pool.{hpp,cpp},
+//                    so no kernel or module grows a second pool or a
+//                    thread of its own. Other system includes are
 //                    ignored — usage is policed by the determinism pass.
 //   lock-discipline  any mutable field of a class that owns a mutex must
 //                    carry SA_GUARDED_BY / SA_PT_GUARDED_BY
@@ -406,12 +409,40 @@ const std::map<std::string, std::set<std::string>>& layering() {
   return kAllowed;
 }
 
+/// The thread pool itself: the only place in src/ that may start threads.
+bool is_thread_pool(const std::string& path) {
+  return path_is(path, "src/util/thread_pool.hpp") ||
+         path_is(path, "src/util/thread_pool.cpp");
+}
+
 void include_graph_pass(const SourceFile& f, std::vector<Finding>& out) {
   const std::string mod = module_of(f.path);
   const bool in_stages = path_has_dir(f.path, "stages/");
   const bool in_cluster = mod == "cluster";
+  const bool may_thread = mod.empty() || is_thread_pool(f.path);
   for (std::size_t i = 0; i < f.tokens.size(); ++i) {
     const Token& t = f.tokens[i];
+    // One concurrency axis, at the thread level: only the pool starts
+    // threads, so no module grows a thread of its own beside it.
+    if (!may_thread && t.kind == Tok::HeaderName && t.text == "<thread>") {
+      out.push_back({f.path, t.line, "include-graph", "one-concurrency-axis",
+                     "only util/thread_pool may include <thread>; "
+                     "host-level parallelism is the one concurrency axis"});
+      continue;
+    }
+    if (!may_thread && t.kind == Tok::Ident && t.text == "std" &&
+        i + 2 < f.tokens.size() && f.tokens[i + 1].text == "::" &&
+        f.tokens[i + 2].kind == Tok::Ident) {
+      const std::string& name = f.tokens[i + 2].text;
+      if (name == "thread" || name == "jthread" || name == "async") {
+        out.push_back({f.path, t.line, "include-graph",
+                       "one-concurrency-axis",
+                       "only util/thread_pool may use std::" + name +
+                           "; host-level parallelism is the one "
+                           "concurrency axis"});
+        continue;
+      }
+    }
     if (t.kind == Tok::HeaderName && !t.text.starts_with("<")) {
       const std::string dep = include_module(t.text);
       // Stage isolation: stages/ may take sim's ID vocabulary
@@ -453,8 +484,7 @@ void include_graph_pass(const SourceFile& f, std::vector<Finding>& out) {
       // One concurrency axis: the fleet drives hosts on the thread pool;
       // nothing below it may parallelize on its own.
       if (!mod.empty() && t.text == "util/thread_pool.hpp" &&
-          !path_is(f.path, "src/core/fleet.cpp") &&
-          !path_is(f.path, "src/util/thread_pool.cpp")) {
+          !path_is(f.path, "src/core/fleet.cpp") && !is_thread_pool(f.path)) {
         out.push_back({f.path, t.line, "include-graph",
                        "one-concurrency-axis",
                        "only core/fleet.cpp may include " + t.text +
@@ -1130,6 +1160,15 @@ std::vector<Fixture> self_test_fixtures() {
                {"one-concurrency-axis"}});
   f.push_back({"thread-pool-in-fleet-ok", "src/core/fleet.cpp",
                "#include \"util/thread_pool.hpp\"\n",
+               {}});
+  f.push_back({"thread-in-monitor", "src/monitor/inc23.cpp",
+               "#include <thread>\nstd::thread producer_;\n"
+               "auto f = std::async([] {});\nstd::jthread j;\n",
+               {"one-concurrency-axis", "one-concurrency-axis",
+                "one-concurrency-axis", "one-concurrency-axis"}});
+  f.push_back({"thread-in-pool-ok", "src/util/thread_pool.hpp",
+               "#pragma once\n#include <thread>\n"
+               "std::vector<std::thread> workers_;\n",
                {}});
   // --- lock discipline ---------------------------------------------------
   f.push_back({"unguarded-field", "src/obs/lock1.hpp",
