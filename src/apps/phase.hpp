@@ -28,7 +28,6 @@ class PhaseMachine {
 
   bool finished() const;
   const Phase& current() const;
-  std::size_t current_index() const { return index_; }
   std::size_t cycles_completed() const { return cycles_; }
 
   /// Advances phase-progress by dt * progress_factor seconds of effective

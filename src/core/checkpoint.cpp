@@ -12,16 +12,36 @@ namespace {
 
 constexpr std::string_view kMagic = "stayaway-checkpoint";
 
+/// The checkpoint body: the record history, one PeriodRecord codec line
+/// per period, then every stage's state.
+void checkpoint_body(util::StateIO& io, HostPipeline& pipeline,
+                     std::vector<PeriodRecord>& records) {
+  io.sequence("records", records, [&io, &records](PeriodRecord& rec) {
+    std::string line = io.loading() ? std::string()
+                                    : serialize_period_record(rec);
+    io.line("record", line);
+    if (!io.loading()) return;
+    try {
+      rec = parse_period_record(line);
+    } catch (const PreconditionError& e) {
+      // A malformed record is checkpoint damage like any other: the
+      // supervisor drops the blob, --restore rejects it.
+      throw util::StateCodecError("checkpoint record " +
+                                  std::to_string(records.size() - 1) + ": " +
+                                  e.what());
+    }
+  });
+  pipeline.state(io);
+}
+
 }  // namespace
 
 std::string encode_checkpoint(const HostPipeline& pipeline) {
   std::ostringstream body;
-  util::StateWriter w(body);
-  w.u64("records", pipeline.records().size());
-  for (const PeriodRecord& rec : pipeline.records()) {
-    w.line("record", serialize_period_record(rec));
-  }
-  pipeline.save_state(w);
+  util::StateIO io(body);
+  // A saving StateIO only reads through the references it is handed.
+  checkpoint_body(io, const_cast<HostPipeline&>(pipeline),
+                  const_cast<std::vector<PeriodRecord>&>(pipeline.records()));
   return util::seal_envelope(kMagic, kCheckpointVersion, body.str());
 }
 
@@ -29,25 +49,11 @@ std::size_t restore_checkpoint(HostPipeline& pipeline,
                                const std::string& blob) {
   std::istringstream in{
       std::string(util::open_envelope(blob, kMagic, kCheckpointVersion))};
-  util::StateReader r(in);
-  std::size_t count = static_cast<std::size_t>(r.u64("records"));
+  util::StateIO io(in);
   std::vector<PeriodRecord> records;
-  records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::string line = r.line("record");
-    try {
-      records.push_back(parse_period_record(line));
-    } catch (const PreconditionError& e) {
-      // A malformed record is checkpoint damage like any other: the
-      // supervisor drops the blob, --restore rejects it.
-      throw util::StateCodecError("checkpoint record " + std::to_string(i) +
-                                  ": " + e.what());
-    }
-  }
-  pipeline.load_state(r);
-  if (in.peek() != std::istringstream::traits_type::eof()) {
-    throw util::StateCodecError("trailing data after checkpoint body");
-  }
+  checkpoint_body(io, pipeline, records);
+  io.expect_end("checkpoint body");
+  const std::size_t count = records.size();
   pipeline.seed_records(std::move(records));
   return count;
 }

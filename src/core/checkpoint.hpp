@@ -5,17 +5,19 @@
 // exact or a loud, typed failure:
 //
 //   stayaway-checkpoint v3        version header (util/envelope.hpp)
-//   records = <n>                 } body via util::StateWriter: the
-//   record = <record line>        } record history in the one PeriodRecord
-//   ...                           } codec (core/period.hpp), then every
-//   <save_state lines>            } stage's save_state lines
+//   records = <n>                 } body via util::StateIO: the record
+//   record = <record line>        } history in the one PeriodRecord codec
+//   ...                           } (core/period.hpp), then the lines of
+//   <state lines>                 } every stage's state() function
 //   checksum = <fnv1a64(body)>    integrity trailer
 //
 // Doubles round-trip through format_double_exact, so restore-then-run
 // reproduces the uninterrupted run byte for byte (the golden test in
-// tests/test_checkpoint.cpp). The envelope lives in src/core/ — stages
-// serialize through util/statecodec.hpp and must never include this
-// header (stage-checkpoint-isolation lint rule).
+// tests/test_checkpoint.cpp). encode and restore walk the same body
+// function, so the layout is written down once. The envelope lives in
+// src/core/ — stages describe their layout in one state(util::StateIO&)
+// function (util/statecodec.hpp) and must never include this header
+// (stage-checkpoint-isolation lint rule).
 #pragma once
 
 #include <cstdint>

@@ -192,123 +192,59 @@ void ClusterCoordinator::replay_host_period(std::size_t host,
   }
 }
 
-void ClusterCoordinator::save_state(util::StateWriter& w) const {
-  w.boolean("cluster_migrate", config_.migrate);
-  w.real("cluster_admit_margin", config_.admit_margin);
-  w.u64("cluster_admit_patience", config_.admit_patience);
-  w.u64("cluster_migration_cooldown", config_.migration_cooldown);
-  w.real("cluster_admit_footprint", config_.admit_footprint);
-  w.u64("cluster_hosts", hosts_.size());
-  w.u64("cluster_mobile", mobile_.size());
-  for (const MobileVm& vm : mobile_) {
-    w.line("mobile_name", vm.name);
-    std::vector<std::uint64_t> twins(vm.twins.begin(), vm.twins.end());
-    w.u64s("mobile_twins", twins);
-    w.u64("mobile_host", vm.host);
-    w.u64("mobile_cooldown_until", vm.cooldown_until);
-  }
-  w.u64("cluster_admissions", admissions_.size());
-  for (const Admission& a : admissions_) {
-    w.line("admission_name", a.name);
-    std::vector<std::uint64_t> twins(a.twins.begin(), a.twins.end());
-    w.u64s("admission_twins", twins);
-    w.u64("admission_arrival", a.arrival);
-    w.u64("admission_state", static_cast<std::uint64_t>(a.state));
-    w.u64("admission_host", a.host);
-  }
-  for (const auto& per_host : directives_) {
-    w.u64("directive_periods", per_host.size());
-    for (const auto& [period, d] : per_host) {
-      w.u64("directive_period", period);
-      w.boolean("directive_gate", d.gate);
-      w.u64("directive_incoming", d.incoming);
-      std::vector<std::uint64_t> attaches(d.attaches.begin(),
-                                          d.attaches.end());
-      w.u64s("directive_attaches", attaches);
-    }
-  }
-  w.u64("cluster_migrations", migrations_);
-  w.u64("cluster_admitted", admitted_);
-  w.u64("cluster_rejected", rejected_);
-  w.u64("cluster_events", events_.size());
-  for (const std::string& event : events_) {
-    w.line("event", event);
-  }
-}
-
-void ClusterCoordinator::load_state(util::StateReader& r) {
-  config_.migrate = r.boolean("cluster_migrate");
-  config_.admit_margin = r.real("cluster_admit_margin");
-  config_.admit_patience =
-      static_cast<std::size_t>(r.u64("cluster_admit_patience"));
-  config_.migration_cooldown =
-      static_cast<std::size_t>(r.u64("cluster_migration_cooldown"));
-  config_.admit_footprint = r.real("cluster_admit_footprint");
-  if (r.u64("cluster_hosts") != hosts_.size()) {
-    throw util::StateCodecError("coordinator host count mismatch");
-  }
-  if (r.u64("cluster_mobile") != mobile_.size()) {
-    throw util::StateCodecError("coordinator mobile VM count mismatch");
-  }
+void ClusterCoordinator::state(util::StateIO& io) {
+  io.boolean("cluster_migrate", config_.migrate);
+  io.real("cluster_admit_margin", config_.admit_margin);
+  io.u64("cluster_admit_patience", config_.admit_patience);
+  io.u64("cluster_migration_cooldown", config_.migration_cooldown);
+  io.real("cluster_admit_footprint", config_.admit_footprint);
+  io.expect("cluster_hosts", hosts_.size(), "coordinator host count mismatch");
+  io.expect("cluster_mobile", mobile_.size(),
+            "coordinator mobile VM count mismatch");
   for (MobileVm& vm : mobile_) {
-    if (r.line("mobile_name") != vm.name) {
-      throw util::StateCodecError("coordinator mobile VM name mismatch");
-    }
-    std::vector<std::uint64_t> twins = r.u64s("mobile_twins");
-    vm.twins.assign(twins.begin(), twins.end());
-    vm.host = static_cast<std::size_t>(r.u64("mobile_host"));
-    if (vm.host >= hosts_.size()) {
+    io.expect("mobile_name", vm.name, "coordinator mobile VM name mismatch");
+    io.u64s("mobile_twins", vm.twins);
+    io.u64("mobile_host", vm.host);
+    if (io.loading() && vm.host >= hosts_.size()) {
       throw util::StateCodecError("coordinator mobile placement out of range");
     }
-    vm.cooldown_until =
-        static_cast<std::size_t>(r.u64("mobile_cooldown_until"));
+    io.u64("mobile_cooldown_until", vm.cooldown_until);
   }
-  if (r.u64("cluster_admissions") != admissions_.size()) {
-    throw util::StateCodecError("coordinator admission count mismatch");
-  }
+  io.expect("cluster_admissions", admissions_.size(),
+            "coordinator admission count mismatch");
   for (Admission& a : admissions_) {
-    if (r.line("admission_name") != a.name) {
-      throw util::StateCodecError("coordinator admission name mismatch");
-    }
-    std::vector<std::uint64_t> twins = r.u64s("admission_twins");
-    a.twins.assign(twins.begin(), twins.end());
-    a.arrival = static_cast<std::size_t>(r.u64("admission_arrival"));
-    std::uint64_t state = r.u64("admission_state");
-    if (state > static_cast<std::uint64_t>(AdmissionState::Rejected)) {
-      throw util::StateCodecError("coordinator admission state out of range");
-    }
-    a.state = static_cast<AdmissionState>(state);
-    a.host = static_cast<std::size_t>(r.u64("admission_host"));
+    io.expect("admission_name", a.name, "coordinator admission name mismatch");
+    io.u64s("admission_twins", a.twins);
+    io.u64("admission_arrival", a.arrival);
+    io.enumeration("admission_state", a.state, AdmissionState::Rejected);
+    io.u64("admission_host", a.host);
   }
   for (auto& per_host : directives_) {
-    per_host.clear();
-    std::size_t count = static_cast<std::size_t>(r.u64("directive_periods"));
-    for (std::size_t i = 0; i < count; ++i) {
-      std::size_t period = static_cast<std::size_t>(r.u64("directive_period"));
-      Directives d;
-      d.gate = r.boolean("directive_gate");
-      d.incoming = static_cast<std::size_t>(r.u64("directive_incoming"));
-      for (std::uint64_t id : r.u64s("directive_attaches")) {
-        d.attaches.push_back(static_cast<sim::VmId>(id));
-      }
-      per_host.emplace(period, std::move(d));
+    std::vector<std::pair<std::size_t, Directives>> entries(per_host.begin(),
+                                                           per_host.end());
+    io.sequence("directive_periods", entries, [&io](auto& entry) {
+      io.u64("directive_period", entry.first);
+      io.boolean("directive_gate", entry.second.gate);
+      io.u64("directive_incoming", entry.second.incoming);
+      io.u64s("directive_attaches", entry.second.attaches);
+    });
+    if (io.loading()) {
+      per_host.clear();
+      per_host.insert(entries.begin(), entries.end());
     }
   }
-  migrations_ = static_cast<std::size_t>(r.u64("cluster_migrations"));
-  admitted_ = static_cast<std::size_t>(r.u64("cluster_admitted"));
-  rejected_ = static_cast<std::size_t>(r.u64("cluster_rejected"));
-  events_.clear();
-  std::size_t events = static_cast<std::size_t>(r.u64("cluster_events"));
-  events_.reserve(events);
-  for (std::size_t i = 0; i < events; ++i) {
-    events_.push_back(r.line("event"));
-  }
+  io.u64("cluster_migrations", migrations_);
+  io.u64("cluster_admitted", admitted_);
+  io.u64("cluster_rejected", rejected_);
+  io.sequence("cluster_events", events_,
+              [&io](std::string& event) { io.line("event", event); });
 }
 
 std::string encode_coordinator(const ClusterCoordinator& coordinator) {
   std::ostringstream body;
-  util::StateWriter w(body);
-  coordinator.save_state(w);
+  util::StateIO io(body);
+  // A saving StateIO only reads through the references it is handed.
+  const_cast<ClusterCoordinator&>(coordinator).state(io);
   return util::seal_envelope(kMagic, kVersion, body.str());
 }
 
@@ -316,11 +252,9 @@ void restore_coordinator(ClusterCoordinator& coordinator,
                          const std::string& blob) {
   std::istringstream in{
       std::string(util::open_envelope(blob, kMagic, kVersion))};
-  util::StateReader r(in);
-  coordinator.load_state(r);
-  if (in.peek() != std::istringstream::traits_type::eof()) {
-    throw util::StateCodecError("trailing data after coordinator body");
-  }
+  util::StateIO io(in);
+  coordinator.state(io);
+  io.expect_end("coordinator body");
 }
 
 }  // namespace stayaway::core::cluster

@@ -109,9 +109,8 @@ class ClusterCoordinator {
   /// Snapshot of everything step() mutates: placements, cooldowns, the
   /// admission queue, per-host directives, counters and the event log.
   /// Host/VM registration is wiring, re-established by the caller before
-  /// load_state (mismatches throw).
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  /// loading (mismatches throw).
+  void state(util::StateIO& io);
 
  private:
   /// Boundary decisions against one host for one period: applied live by

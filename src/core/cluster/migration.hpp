@@ -54,8 +54,7 @@ class MigrationActuator final : public Actuator {
   /// incoming note and outbox are snapshotted too, so a restore resumes
   /// mid-handshake exactly.
   bool checkpointable() const override;
-  void save_state(util::StateWriter& w) const override;
-  void load_state(util::StateReader& r) override;
+  void state(util::StateIO& io) override;
 
  private:
   std::unique_ptr<Actuator> inner_;

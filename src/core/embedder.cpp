@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/statespace.hpp"
 #include "mds/distance.hpp"
 #include "mds/incremental.hpp"
 #include "mds/landmark.hpp"
@@ -193,45 +194,25 @@ void MapEmbedder::embed(const monitor::RepresentativeSet& reps) {
   }
 }
 
-void MapEmbedder::save_state(util::StateWriter& w) const {
-  SA_REQUIRE(checkpointable(),
-             "save_state on a landmark-incremental embedder");
-  std::vector<double> xs, ys;
-  xs.reserve(positions_.size());
-  ys.reserve(positions_.size());
-  for (const auto& p : positions_) {
-    xs.push_back(p.x);
-    ys.push_back(p.y);
-  }
-  w.reals("positions_x", xs);
-  w.reals("positions_y", ys);
-  w.real("stress", stress_);
-  w.u64("total_iterations", total_iterations_);
-  w.u64("cold_runs_skipped", cold_runs_skipped_);
-  w.u64("rebuilds", rebuilds_);
-}
-
-void MapEmbedder::load_state(util::StateReader& r,
-                             const std::vector<std::vector<double>>& vectors) {
-  SA_REQUIRE(checkpointable(),
-             "load_state on a landmark-incremental embedder");
-  std::vector<double> xs = r.reals("positions_x");
-  std::vector<double> ys = r.reals("positions_y");
-  if (xs.size() != ys.size() || xs.size() != vectors.size()) {
+void MapEmbedder::state(util::StateIO& io,
+                        const std::vector<std::vector<double>>& vectors) {
+  SA_REQUIRE(checkpointable(), "state on a landmark-incremental embedder");
+  embedding_state(io, "positions", positions_);
+  if (io.loading() && positions_.size() != vectors.size()) {
     throw util::StateCodecError(
         "embedder state: position/representative count mismatch");
   }
-  positions_.resize(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) positions_[i] = {xs[i], ys[i]};
-  stress_ = r.real("stress");
-  total_iterations_ = static_cast<std::size_t>(r.u64("total_iterations"));
-  cold_runs_skipped_ = static_cast<std::size_t>(r.u64("cold_runs_skipped"));
-  rebuilds_ = static_cast<std::size_t>(r.u64("rebuilds"));
+  io.real("stress", stress_);
+  io.u64("total_iterations", total_iterations_);
+  io.u64("cold_runs_skipped", cold_runs_skipped_);
+  io.u64("rebuilds", rebuilds_);
   // Rebuild the dissimilarity cache to the state the incremental growth
   // would have left it in: empty below two points (embed() short-circuits
   // there without building one), the full matrix otherwise.
-  delta_ = vectors.size() >= 2 ? mds::distance_matrix(vectors)
-                               : linalg::Matrix();
+  if (io.loading()) {
+    delta_ = vectors.size() >= 2 ? mds::distance_matrix(vectors)
+                                 : linalg::Matrix();
+  }
 }
 
 mds::Point2 MapEmbedder::place_against_landmarks(

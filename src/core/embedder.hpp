@@ -74,22 +74,21 @@ class MapEmbedder {
   std::size_t landmark_fit_size() const { return last_fit_size_; }
 
   /// True when this embedder's full mutable state is capturable by
-  /// save_state: the landmark-incremental model (frozen landmark fit +
+  /// state(): the landmark-incremental model (frozen landmark fit +
   /// alignment chain) is deliberately out of scope — pipelines using it
   /// recover by cold replay instead (DESIGN.md §17).
   bool checkpointable() const {
     return method_ != EmbedMethod::LandmarkIncremental;
   }
 
-  /// Snapshot of layout, stress and overhead counters. load_state
-  /// rebuilds the cached dissimilarity matrix from the restored
-  /// representative vectors — entry-wise identical to the incrementally
-  /// grown matrix (refresh_delta's contract), so the next growth step
-  /// proceeds exactly as the uninterrupted run's would. Requires
-  /// checkpointable().
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r,
-                  const std::vector<std::vector<double>>& vectors);
+  /// Snapshot of layout, stress and overhead counters. Loading checks
+  /// the layout against the restored representative `vectors` and
+  /// rebuilds the cached dissimilarity matrix from them — entry-wise
+  /// identical to the incrementally grown matrix (refresh_delta's
+  /// contract), so the next growth step proceeds exactly as the
+  /// uninterrupted run's would. Requires checkpointable().
+  void state(util::StateIO& io,
+             const std::vector<std::vector<double>>& vectors);
 
  private:
   void embed(const monitor::RepresentativeSet& reps);

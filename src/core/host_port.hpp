@@ -64,8 +64,9 @@ class SimHostActuationPort final : public ActuationPort {
   /// exactly once; the supervisor calls this at every period boundary of
   /// the fast-forward.
   void replay_delivered(double now);
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  /// Snapshot of the journal as three parallel columns. Loading rewinds
+  /// the replay cursor to the start of the restored journal.
+  void state(util::StateIO& io);
 
  private:
   sim::SimHost* host_;

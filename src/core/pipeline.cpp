@@ -226,52 +226,25 @@ bool HostPipeline::checkpointable() const {
          (actuator_ == nullptr || actuator_->checkpointable());
 }
 
-void HostPipeline::save_state(util::StateWriter& w) const {
+void HostPipeline::state(util::StateIO& io) {
   SA_REQUIRE(checkpointable(),
-             "save_state on a pipeline with a non-checkpointable stage");
-  w.boolean("has_mapper", mapper_ != nullptr);
-  if (mapper_ != nullptr) mapper_->save_state(w);
-  w.boolean("has_forecaster", forecaster_ != nullptr);
-  if (forecaster_ != nullptr) forecaster_->save_state(w);
-  w.boolean("has_actuator", actuator_ != nullptr);
-  if (actuator_ != nullptr) actuator_->save_state(w);
-  port_->save_state(w);
-  w.boolean("has_faults", faults_.has_value());
-  if (faults_.has_value()) faults_->save_state(w);
-  w.u64("degradation", static_cast<std::uint64_t>(degradation_));
-  w.u64("qos_blind_streak", qos_blind_streak_);
-  w.u64("healthy_streak", healthy_streak_);
-}
-
-void HostPipeline::load_state(util::StateReader& r) {
-  SA_REQUIRE(checkpointable(),
-             "load_state on a pipeline with a non-checkpointable stage");
-  if (r.boolean("has_mapper") != (mapper_ != nullptr)) {
-    throw util::StateCodecError("checkpoint/pipeline mapper wiring mismatch");
-  }
-  if (mapper_ != nullptr) mapper_->load_state(r);
-  if (r.boolean("has_forecaster") != (forecaster_ != nullptr)) {
-    throw util::StateCodecError(
-        "checkpoint/pipeline forecaster wiring mismatch");
-  }
-  if (forecaster_ != nullptr) forecaster_->load_state(r);
-  if (r.boolean("has_actuator") != (actuator_ != nullptr)) {
-    throw util::StateCodecError("checkpoint/pipeline actuator wiring mismatch");
-  }
-  if (actuator_ != nullptr) actuator_->load_state(r);
-  port_->load_state(r);
-  if (r.boolean("has_faults") != faults_.has_value()) {
-    throw util::StateCodecError(
-        "checkpoint/pipeline fault-injector wiring mismatch");
-  }
-  if (faults_.has_value()) faults_->load_state(r);
-  std::uint64_t degradation = r.u64("degradation");
-  if (degradation > static_cast<std::uint64_t>(DegradationState::Failsafe)) {
-    throw util::StateCodecError("degradation state out of range");
-  }
-  degradation_ = static_cast<DegradationState>(degradation);
-  qos_blind_streak_ = static_cast<std::size_t>(r.u64("qos_blind_streak"));
-  healthy_streak_ = static_cast<std::size_t>(r.u64("healthy_streak"));
+             "state on a pipeline with a non-checkpointable stage");
+  io.expect("has_mapper", mapper_ != nullptr,
+            "checkpoint/pipeline mapper wiring mismatch");
+  if (mapper_ != nullptr) mapper_->state(io);
+  io.expect("has_forecaster", forecaster_ != nullptr,
+            "checkpoint/pipeline forecaster wiring mismatch");
+  if (forecaster_ != nullptr) forecaster_->state(io);
+  io.expect("has_actuator", actuator_ != nullptr,
+            "checkpoint/pipeline actuator wiring mismatch");
+  if (actuator_ != nullptr) actuator_->state(io);
+  port_->state(io);
+  io.expect("has_faults", faults_.has_value(),
+            "checkpoint/pipeline fault-injector wiring mismatch");
+  if (faults_.has_value()) faults_->state(io);
+  io.enumeration("degradation", degradation_, DegradationState::Failsafe);
+  io.u64("qos_blind_streak", qos_blind_streak_);
+  io.u64("healthy_streak", healthy_streak_);
 }
 
 void HostPipeline::seed_records(std::vector<PeriodRecord> records) {

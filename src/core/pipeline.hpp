@@ -98,7 +98,6 @@ class HostPipeline {
   /// keeps names identical to the historical single-host stream. Call
   /// before set_observer.
   void set_host_label(std::string label);
-  const std::string& host_label() const { return label_; }
 
   /// Installs a fault plan (DESIGN.md §12). Must be called before the
   /// first on_period(). With no plan installed (or an empty one) the
@@ -126,11 +125,10 @@ class HostPipeline {
   /// (the checkpoint envelope owns the record codec): stage states, the
   /// delivered-actuation journal, the fault injector and the degradation
   /// machine. last_outcome_ is transient and deliberately not captured.
-  void save_state(util::StateWriter& w) const;
-  /// Mirror of save_state. The pipeline must be freshly built with the
-  /// same wiring and the same fault plan installed; stage-presence
-  /// mismatches throw util::StateCodecError.
-  void load_state(util::StateReader& r);
+  /// Loading requires a freshly built pipeline with the same wiring and
+  /// the same fault plan installed; stage-presence mismatches throw
+  /// util::StateCodecError.
+  void state(util::StateIO& io);
   /// Seeds the record history of the run being restored. Must be called
   /// before the first live on_period().
   void seed_records(std::vector<PeriodRecord> records);

@@ -39,8 +39,7 @@ class GovernorActuator final : public Actuator {
   /// actuator resumes mid-retry: backoff deadlines are absolute simulated
   /// times, so they stay meaningful across a restore.
   bool checkpointable() const override { return true; }
-  void save_state(util::StateWriter& w) const override;
-  void load_state(util::StateReader& r) override;
+  void state(util::StateIO& io) override;
 
  private:
   /// Outstanding pause/resume commands the fault channel dropped; the

@@ -117,30 +117,19 @@ void StayAwayMapper::seed_template(const StateTemplate& t) {
   space_.sync_positions(embedder_.update(reps_));
 }
 
-void StayAwayMapper::save_state(util::StateWriter& w) const {
-  SA_REQUIRE(checkpointable(), "save_state on a non-checkpointable mapper");
-  source_->save_state(w);
-  quarantine_.save_state(w);
-  reps_.save_state(w);
-  space_.save_state(w);
-  embedder_.save_state(w);
-  w.u64("last_representative", last_representative_);
-  w.boolean("mapped_any_period", mapped_any_period_);
-}
-
-void StayAwayMapper::load_state(util::StateReader& r) {
-  SA_REQUIRE(checkpointable(), "load_state on a non-checkpointable mapper");
-  source_->load_state(r);
-  quarantine_.load_state(r);
-  reps_.load_state(r);
-  space_.load_state(r);
-  if (space_.size() != reps_.size()) {
+void StayAwayMapper::state(util::StateIO& io) {
+  SA_REQUIRE(checkpointable(), "state on a non-checkpointable mapper");
+  source_->state(io);
+  quarantine_.state(io);
+  reps_.state(io);
+  space_.state(io);
+  if (io.loading() && space_.size() != reps_.size()) {
     throw util::StateCodecError(
         "mapper state: state space and representative set disagree");
   }
-  embedder_.load_state(r, reps_.all());
-  last_representative_ = static_cast<std::size_t>(r.u64("last_representative"));
-  mapped_any_period_ = r.boolean("mapped_any_period");
+  embedder_.state(io, reps_.all());
+  io.u64("last_representative", last_representative_);
+  io.boolean("mapped_any_period", mapped_any_period_);
 }
 
 StateTemplate StayAwayMapper::export_template(

@@ -49,10 +49,9 @@ class Mapper {
 
   /// Checkpoint support (DESIGN.md §17). Pipelines whose stages cannot
   /// all snapshot recover by cold replay instead. Callers gate on
-  /// checkpointable(); save/load require it.
+  /// checkpointable(); state() requires it.
   virtual bool checkpointable() const = 0;
-  virtual void save_state(util::StateWriter& w) const = 0;
-  virtual void load_state(util::StateReader& r) = 0;
+  virtual void state(util::StateIO& io) = 0;
 };
 
 /// Prediction stage (§3.2). forecast() observes the latest within-mode
@@ -67,8 +66,7 @@ class ViolationForecaster {
                         bool widened, obs::Observer* observer) = 0;
 
   /// Checkpoint support (DESIGN.md §17): every forecaster snapshots.
-  virtual void save_state(util::StateWriter& w) const = 0;
-  virtual void load_state(util::StateReader& r) = 0;
+  virtual void state(util::StateIO& io) = 0;
 };
 
 /// Action stage (§3.3). act() reconciles any outstanding actuation,
@@ -97,13 +95,9 @@ class Actuator {
   /// Checkpoint support (DESIGN.md §17). Actuators default to
   /// non-checkpointable (the baseline policies); see Mapper.
   virtual bool checkpointable() const { return false; }
-  virtual void save_state(util::StateWriter& w) const {
-    (void)w;
-    SA_CHECK(false, "save_state on a non-checkpointable actuator");
-  }
-  virtual void load_state(util::StateReader& r) {
-    (void)r;
-    SA_CHECK(false, "load_state on a non-checkpointable actuator");
+  virtual void state(util::StateIO& io) {
+    (void)io;
+    SA_CHECK(false, "state on a non-checkpointable actuator");
   }
 };
 

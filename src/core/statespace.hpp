@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "mds/point.hpp"
@@ -95,12 +96,11 @@ class StateSpace {
 
   /// Snapshot of states, evidence counters and positions (DESIGN.md
   /// §17). The violation-range cache is deliberately not captured:
-  /// load_state leaves it dirty and the first query re-derives
+  /// loading leaves it dirty and the first query re-derives
   /// byte-identical ranges from the restored geometry (the rebuild
   /// counter may therefore run ahead of the uninterrupted run's —
   /// telemetry only, never decisions).
-  void save_state(util::StateWriter& w) const;
-  void load_state(util::StateReader& r);
+  void state(util::StateIO& io);
 
  private:
   std::size_t labels_cache_size() const { return forced_.size(); }
@@ -119,5 +119,10 @@ class StateSpace {
   std::size_t invalidations_ = 0;
   mutable std::size_t rebuilds_ = 0;
 };
+
+/// A 2-D layout as two reals lines, `<key>_x` then `<key>_y` — the
+/// snapshot form shared by the state space and the map embedder.
+void embedding_state(util::StateIO& io, std::string_view key,
+                     mds::Embedding& points);
 
 }  // namespace stayaway::core

@@ -195,6 +195,24 @@ FleetResult run_fleet(const FleetSpec& spec) {
             static_cast<std::ptrdiff_t>(cluster->mobile.size())));
     slot.pipeline->set_actuator(std::move(mig));
   };
+  // Builds one slot's host and pipeline — at fleet start and again on
+  // every crash-recovery rebuild, so a recovered host always gets the
+  // same wiring as the one that crashed.
+  auto wire_slot = [&wrap_migration, label_hosts](
+                       Slot& slot, const FleetHostSpec& hs,
+                       const std::vector<TwinSpec>& twins,
+                       obs::Observer* observer) {
+    slot.pipeline.reset();  // borrows the rig's host; dies first
+    slot.rig = build_host_rig(hs.experiment, twins);
+    slot.pipeline = make_pipeline(hs, slot.rig);
+    wrap_migration(slot);
+    if (label_hosts) slot.pipeline->set_host_label(hs.name);
+    // Only the Stay-Away loop publishes its internal metric/event
+    // stream; every policy narrates its decisions (on_period below).
+    if (observer != nullptr && hs.experiment.policy == PolicyKind::StayAway) {
+      slot.pipeline->set_observer(observer);
+    }
+  };
   std::unique_ptr<core::cluster::ClusterCoordinator> coordinator;
   if (cluster != nullptr) {
     coordinator =
@@ -211,18 +229,10 @@ FleetResult run_fleet(const FleetSpec& spec) {
     Slot& slot = slots[i];
     slot.spec = &hs;
     const std::vector<TwinSpec> twins = twins_for_host(i);
-    slot.rig = build_host_rig(hs.experiment, twins);
-    slot.pipeline = make_pipeline(hs, slot.rig);
-    wrap_migration(slot);
-    if (label_hosts) slot.pipeline->set_host_label(hs.name);
     obs::Observer* observer = hs.experiment.observer != nullptr
                                   ? hs.experiment.observer
                                   : spec.observer;
-    // Only the Stay-Away loop publishes its internal metric/event
-    // stream; every policy narrates its decisions (on_period below).
-    if (observer != nullptr && hs.experiment.policy == PolicyKind::StayAway) {
-      slot.pipeline->set_observer(observer);
-    }
+    wire_slot(slot, hs, twins, observer);
 
     const ExperimentSpec& espec = hs.experiment;
     auto ticks_per_period =
@@ -272,17 +282,8 @@ FleetResult run_fleet(const FleetSpec& spec) {
     // run-log replays bit-for-bit without new scenario keys.
     if (spec.supervise || (espec.faults.has_value() &&
                            espec.faults->has_crash_faults())) {
-      member.rebuild = [&slot, &hs, label_hosts, observer, twins,
-                        &wrap_migration] {
-        slot.pipeline.reset();
-        slot.rig = build_host_rig(hs.experiment, twins);
-        slot.pipeline = make_pipeline(hs, slot.rig);
-        wrap_migration(slot);
-        if (label_hosts) slot.pipeline->set_host_label(hs.name);
-        if (observer != nullptr &&
-            hs.experiment.policy == PolicyKind::StayAway) {
-          slot.pipeline->set_observer(observer);
-        }
+      member.rebuild = [&slot, &hs, observer, twins, &wire_slot] {
+        wire_slot(slot, hs, twins, observer);
         return core::FleetController::Member::Rebuilt{slot.rig.host.get(),
                                                       slot.pipeline.get()};
       };

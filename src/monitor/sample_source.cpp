@@ -32,22 +32,14 @@ std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
   return (a ^ 0x9e3779b97f4a7c15ULL) + (b << 1);
 }
 
-void save_sample(util::StateWriter& w, const TimedSample& s) {
-  w.u64("sample_sequence", s.sequence);
-  w.real("sample_time", s.measurement.time);
-  w.reals("sample_values", s.measurement.values);
-}
-
-TimedSample load_sample(util::StateReader& r, std::size_t dimension) {
-  TimedSample s;
-  s.sequence = r.u64("sample_sequence");
-  s.measurement.time = r.real("sample_time");
-  s.measurement.values = r.reals("sample_values");
-  if (s.measurement.values.size() != dimension) {
+void sample_state(util::StateIO& io, TimedSample& s, std::size_t dimension) {
+  io.u64("sample_sequence", s.sequence);
+  io.real("sample_time", s.measurement.time);
+  io.reals("sample_values", s.measurement.values);
+  if (io.loading() && s.measurement.values.size() != dimension) {
     throw util::StateCodecError(
         "ring source state: sample dimension does not match the layout");
   }
-  return s;
 }
 
 }  // namespace
@@ -64,14 +56,9 @@ DrainReport SynchronousSampleSource::drain(double now,
   return report;
 }
 
-void SynchronousSampleSource::save_state(util::StateWriter& w) const {
-  sampler_.save_state(w);
-  w.u64("next_sequence", next_sequence_);
-}
-
-void SynchronousSampleSource::load_state(util::StateReader& r) {
-  sampler_.load_state(r);
-  next_sequence_ = r.u64("next_sequence");
+void SynchronousSampleSource::state(util::StateIO& io) {
+  sampler_.state(io);
+  io.u64("next_sequence", next_sequence_);
 }
 
 RingSampleSource::RingSampleSource(MetricLayout layout,
@@ -240,38 +227,22 @@ DrainReport RingSampleSource::drain(double now,
   return report;
 }
 
-void RingSampleSource::save_state(util::StateWriter& w) const {
-  w.boolean("ring_started", started_);
-  w.real("ring_next_time", next_time_);
-  w.u64("ring_next_sequence", next_sequence_);
-  w.line("ring_value_rng", value_rng_.save_state());
-  w.line("ring_ingest_rng", ingest_rng_.save_state());
-  w.u64("ring_queued", ring_.size());
-  for (const TimedSample& s : ring_) save_sample(w, s);
-  w.boolean("ring_pending", pending_.has_value());
-  if (pending_.has_value()) save_sample(w, *pending_);
-  w.u64("ring_dropped", dropped_);
-  w.u64("ring_delivered", delivered_total_);
-}
-
-void RingSampleSource::load_state(util::StateReader& r) {
-  started_ = r.boolean("ring_started");
-  next_time_ = r.real("ring_next_time");
-  next_sequence_ = r.u64("ring_next_sequence");
-  value_rng_.load_state(r.line("ring_value_rng"));
-  ingest_rng_.load_state(r.line("ring_ingest_rng"));
-  const std::uint64_t queued = r.u64("ring_queued");
-  if (queued > capacity_) {
+void RingSampleSource::state(util::StateIO& io) {
+  auto sample = [&io, dimension = layout_.dimension()](TimedSample& s) {
+    sample_state(io, s, dimension);
+  };
+  io.boolean("ring_started", started_);
+  io.real("ring_next_time", next_time_);
+  io.u64("ring_next_sequence", next_sequence_);
+  io.rng("ring_value_rng", value_rng_);
+  io.rng("ring_ingest_rng", ingest_rng_);
+  io.sequence("ring_queued", ring_, sample);
+  if (io.loading() && ring_.size() > capacity_) {
     throw util::StateCodecError("ring source state: ring over capacity");
   }
-  ring_.clear();
-  for (std::uint64_t i = 0; i < queued; ++i) {
-    ring_.push_back(load_sample(r, layout_.dimension()));
-  }
-  pending_.reset();
-  if (r.boolean("ring_pending")) pending_ = load_sample(r, layout_.dimension());
-  dropped_ = r.u64("ring_dropped");
-  delivered_total_ = r.u64("ring_delivered");
+  io.optional("ring_pending", pending_, sample);
+  io.u64("ring_dropped", dropped_);
+  io.u64("ring_delivered", delivered_total_);
 }
 
 }  // namespace stayaway::monitor

@@ -81,9 +81,8 @@ class SampleSource {
 
   /// Checkpoint support (DESIGN.md §17): the full stream state, so a
   /// restored source delivers exactly what the original would have.
-  /// load_state runs on a freshly built source of the same config.
-  virtual void save_state(util::StateWriter& w) const = 0;
-  virtual void load_state(util::StateReader& r) = 0;
+  /// Loading runs on a freshly built source of the same config.
+  virtual void state(util::StateIO& io) = 0;
 };
 
 /// The historical path: one HostSampler reading per drain. Exists so
@@ -107,8 +106,7 @@ class SynchronousSampleSource final : public SampleSource {
     return sampler_.samples_taken();
   }
 
-  void save_state(util::StateWriter& w) const override;
-  void load_state(util::StateReader& r) override;
+  void state(util::StateIO& io) override;
 
  private:
   HostSampler sampler_;
@@ -155,8 +153,7 @@ class RingSampleSource final : public SampleSource {
   /// Pushes dropped by a full ring so far (observability).
   std::uint64_t overflow_total() const { return dropped_; }
 
-  void save_state(util::StateWriter& w) const override;
-  void load_state(util::StateReader& r) override;
+  void state(util::StateIO& io) override;
 
  private:
   /// Generates every sample with time <= horizon into the ring.

@@ -56,22 +56,13 @@ Measurement HostSampler::sample() {
       v = std::max(0.0, v * (1.0 + rng_.normal(0.0, options_.noise_fraction)));
     }
   }
-  if (injector_ != nullptr) {
-    last_fault_report_ = injector_->corrupt_sample(m.time, m.values);
-  } else {
-    last_fault_report_ = sim::SensorFaultReport{};
-  }
+  if (injector_ != nullptr) injector_->corrupt_sample(m.time, m.values);
   return m;
 }
 
-void HostSampler::save_state(util::StateWriter& w) const {
-  w.line("sampler_rng", rng_.save_state());
-  w.u64("samples_taken", samples_taken_);
-}
-
-void HostSampler::load_state(util::StateReader& r) {
-  rng_.load_state(r.line("sampler_rng"));
-  samples_taken_ = static_cast<std::size_t>(r.u64("samples_taken"));
+void HostSampler::state(util::StateIO& io) {
+  io.rng("sampler_rng", rng_);
+  io.u64("samples_taken", samples_taken_);
 }
 
 }  // namespace stayaway::monitor

@@ -49,11 +49,7 @@ class JsonValue {
   static JsonValue object() { return JsonValue(Object{}); }
 
   Kind kind() const { return static_cast<Kind>(value_.index()); }
-  bool is_null() const { return kind() == Kind::Null; }
-  bool is_number() const { return kind() == Kind::Number; }
   bool is_string() const { return kind() == Kind::String; }
-  bool is_object() const { return kind() == Kind::Object; }
-  bool is_array() const { return kind() == Kind::Array; }
 
   /// Typed accessors; throw PreconditionError on a kind mismatch.
   bool as_bool() const;

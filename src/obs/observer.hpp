@@ -66,7 +66,6 @@ class Observer {
 
   /// Whether each Span additionally emits a "span" event (default on;
   /// the histogram is always fed).
-  bool span_events() const { return span_events_; }
   void set_span_events(bool on) { span_events_ = on; }
 
   /// Opens a phase timer. `name` must outlive the observer (string

@@ -135,7 +135,6 @@ RunLog parse_run_log(std::istream& in) {
     if (!parse_u64(line.substr(close + 2), count)) {
       fail(line_no, "bad record count '" + line.substr(close + 2) + "'");
     }
-    host.records.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {
       read_line("record line");
       host.records.push_back(line);

@@ -90,11 +90,14 @@ void Histogram::decay(double factor) {
   total_ *= factor;
 }
 
-void Histogram::restore(const std::vector<double>& counts, double total) {
-  SA_REQUIRE(counts.size() == counts_.size(),
-             "histogram restore requires a matching bin count");
-  counts_ = counts;
-  total_ = total;
+void Histogram::state(util::StateIO& io, std::string_view total_key,
+                      std::string_view counts_key) {
+  const std::size_t bins = counts_.size();
+  io.real(total_key, total_);
+  io.reals(counts_key, counts_);
+  if (io.loading() && counts_.size() != bins) {
+    throw util::StateCodecError("histogram state: bin count mismatch");
+  }
 }
 
 std::vector<double> Histogram::masses() const {

@@ -6,7 +6,10 @@
 #pragma once
 
 #include <cstddef>
+#include <string_view>
 #include <vector>
+
+#include "util/statecodec.hpp"
 
 namespace stayaway::stats {
 
@@ -53,15 +56,14 @@ class Histogram {
   /// The probability masses for all bins, in order.
   std::vector<double> masses() const;
 
-  /// Raw per-bin weights in bin order, for state snapshots.
-  const std::vector<double>& raw_counts() const { return counts_; }
-
-  /// Restores contents captured from an identically configured histogram
-  /// (same range and bin count; checked). The accumulated total is
-  /// restored verbatim rather than re-summed — re-adding weights would
-  /// reorder float addition and break the restore-exactness guarantee
+  /// Snapshot of the accumulated total (under `total_key`) and the raw
+  /// per-bin weights (under `counts_key`). Loading targets an identically
+  /// configured histogram (bin count checked). The total is restored
+  /// verbatim rather than re-summed — re-adding weights would reorder
+  /// float addition and break the restore-exactness guarantee
   /// (DESIGN.md §17).
-  void restore(const std::vector<double>& counts, double total);
+  void state(util::StateIO& io, std::string_view total_key,
+             std::string_view counts_key);
 
  private:
   double lo_;

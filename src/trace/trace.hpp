@@ -23,7 +23,6 @@ class Trace {
   Trace(std::vector<double> samples, double sample_interval_s);
 
   std::size_t size() const { return samples_.size(); }
-  double sample_interval() const { return interval_; }
   double duration() const;
   const std::vector<double>& samples() const { return samples_; }
 

@@ -1,6 +1,6 @@
 // Versioned, checksummed text envelope shared by every persisted blob
 // (DESIGN.md §17, §18): the per-host checkpoint and the coordinator
-// checkpoint both frame their StateWriter body the same way,
+// checkpoint both frame their util::StateIO body the same way,
 //
 //   <magic> v<version>             version header
 //   ...body lines...               caller-defined

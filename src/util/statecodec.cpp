@@ -1,8 +1,10 @@
 #include "util/statecodec.hpp"
 
+#include <random>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace stayaway::util {
@@ -14,6 +16,22 @@ namespace {
                         detail);
 }
 
+/// `<n> <item> ...` with exactly n items, each parsed by `parse`.
+template <typename T, typename Parse>
+void parse_vector(std::string_view key, const std::string& text,
+                  std::vector<T>& out, Parse parse) {
+  std::istringstream in(text);
+  std::uint64_t n = 0;
+  std::string item;
+  if (!(in >> item) || !parse_u64(item, n)) fail(key, "malformed vector count");
+  out.clear();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (!(in >> item)) fail(key, "vector shorter than its count");
+    out.push_back(parse(item));
+  }
+  if (in >> item) fail(key, "vector longer than its count");
+}
+
 }  // namespace
 
 double parse_exact_double(const std::string& text, std::string_view what) {
@@ -23,65 +41,20 @@ double parse_exact_double(const std::string& text, std::string_view what) {
   return v;
 }
 
-void StateWriter::emit(std::string_view key, std::string_view value) {
+void StateIO::emit(std::string_view key, std::string_view value) {
   SA_CHECK(key.find_first_of(" =\n") == std::string_view::npos,
            "snapshot keys are bare identifiers");
   SA_CHECK(value.find('\n') == std::string_view::npos,
            "snapshot values are single lines");
-  out_ << key << " = " << value << '\n';
+  *out_ << key << " = " << value << '\n';
 }
 
-void StateWriter::u64(std::string_view key, std::uint64_t v) {
-  emit(key, std::to_string(v));
-}
-
-void StateWriter::i64(std::string_view key, std::int64_t v) {
-  emit(key, std::to_string(v));
-}
-
-void StateWriter::boolean(std::string_view key, bool v) {
-  emit(key, v ? "true" : "false");
-}
-
-void StateWriter::real(std::string_view key, double v) {
-  emit(key, format_double_exact(v));
-}
-
-void StateWriter::token(std::string_view key, std::string_view v) {
-  SA_CHECK(!v.empty() && v.find_first_of(" \t\n") == std::string_view::npos,
-           "snapshot tokens are single non-empty words");
-  emit(key, v);
-}
-
-void StateWriter::line(std::string_view key, std::string_view v) {
-  emit(key, v);
-}
-
-void StateWriter::reals(std::string_view key, const std::vector<double>& v) {
-  std::string out = std::to_string(v.size());
-  for (double x : v) {
-    out += ' ';
-    out += format_double_exact(x);
-  }
-  emit(key, out);
-}
-
-void StateWriter::u64s(std::string_view key,
-                       const std::vector<std::uint64_t>& v) {
-  std::string out = std::to_string(v.size());
-  for (std::uint64_t x : v) {
-    out += ' ';
-    out += std::to_string(x);
-  }
-  emit(key, out);
-}
-
-std::string StateReader::next_value(std::string_view key) {
+std::string StateIO::next_value(std::string_view key) {
   std::string raw;
-  if (!std::getline(in_, raw)) {
+  if (!std::getline(*in_, raw)) {
     fail(key, "snapshot truncated (field missing)");
   }
-  if (in_.eof()) {
+  if (in_->eof()) {
     // getline consumed characters but hit EOF before the delimiter:
     // the final line was cut mid-record.
     fail(key, "snapshot truncated (missing trailing newline)");
@@ -93,82 +66,118 @@ std::string StateReader::next_value(std::string_view key) {
   return raw.substr(eq + 3);
 }
 
-std::uint64_t StateReader::u64(std::string_view key) {
-  std::string v = next_value(key);
-  std::uint64_t out = 0;
-  if (!parse_u64(v, out)) fail(key, "malformed u64 '" + v + "'");
-  return out;
+void StateIO::out_of_range(std::string_view key) {
+  fail(key, "value out of range");
 }
 
-std::int64_t StateReader::i64(std::string_view key) {
-  std::string v = next_value(key);
-  if (v.empty()) fail(key, "empty i64");
-  bool negative = v[0] == '-';
-  std::uint64_t mag = 0;
-  if (!parse_u64(negative ? v.substr(1) : v, mag)) {
-    fail(key, "malformed i64 '" + v + "'");
+void StateIO::u64(std::string_view key, std::uint64_t& v) {
+  if (!loading()) {
+    emit(key, std::to_string(v));
+    return;
   }
-  constexpr std::uint64_t kMax =
-      static_cast<std::uint64_t>(INT64_MAX);
-  if (mag > (negative ? kMax + 1 : kMax)) fail(key, "i64 overflow '" + v + "'");
-  return negative ? -static_cast<std::int64_t>(mag)
-                  : static_cast<std::int64_t>(mag);
+  std::string text = next_value(key);
+  if (!parse_u64(text, v)) fail(key, "malformed u64 '" + text + "'");
 }
 
-bool StateReader::boolean(std::string_view key) {
-  std::string v = next_value(key);
-  if (v == "true") return true;
-  if (v == "false") return false;
-  fail(key, "malformed bool '" + v + "'");
-}
-
-double StateReader::real(std::string_view key) {
-  return parse_exact_double(next_value(key), key);
-}
-
-std::string StateReader::token(std::string_view key) {
-  std::string v = next_value(key);
-  if (v.empty() || v.find_first_of(" \t") != std::string::npos) {
-    fail(key, "malformed token '" + v + "'");
+void StateIO::boolean(std::string_view key, bool& v) {
+  if (!loading()) {
+    emit(key, v ? "true" : "false");
+    return;
   }
-  return v;
-}
-
-std::string StateReader::line(std::string_view key) { return next_value(key); }
-
-std::vector<double> StateReader::reals(std::string_view key) {
-  std::istringstream in(next_value(key));
-  std::uint64_t n = 0;
-  std::string head;
-  if (!(in >> head) || !parse_u64(head, n)) fail(key, "malformed vector count");
-  std::vector<double> out;
-  out.reserve(n);
-  std::string item;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (!(in >> item)) fail(key, "vector shorter than its count");
-    out.push_back(parse_exact_double(item, key));
+  std::string text = next_value(key);
+  if (text != "true" && text != "false") {
+    fail(key, "malformed bool '" + text + "'");
   }
-  if (in >> item) fail(key, "vector longer than its count");
-  return out;
+  v = text == "true";
 }
 
-std::vector<std::uint64_t> StateReader::u64s(std::string_view key) {
-  std::istringstream in(next_value(key));
-  std::uint64_t n = 0;
-  std::string head;
-  if (!(in >> head) || !parse_u64(head, n)) fail(key, "malformed vector count");
-  std::vector<std::uint64_t> out;
-  out.reserve(n);
-  std::string item;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t v = 0;
-    if (!(in >> item) || !parse_u64(item, v)) {
-      fail(key, "vector shorter than its count or malformed entry");
+void StateIO::real(std::string_view key, double& v) {
+  if (!loading()) {
+    emit(key, format_double_exact(v));
+    return;
+  }
+  v = parse_exact_double(next_value(key), key);
+}
+
+void StateIO::line(std::string_view key, std::string& v) {
+  if (!loading()) {
+    emit(key, v);
+    return;
+  }
+  v = next_value(key);
+}
+
+void StateIO::reals(std::string_view key, std::vector<double>& v) {
+  if (!loading()) {
+    std::string text = std::to_string(v.size());
+    for (double x : v) {
+      text += ' ';
+      text += format_double_exact(x);
     }
-    out.push_back(v);
+    emit(key, text);
+    return;
   }
-  if (in >> item) fail(key, "vector longer than its count");
-  return out;
+  parse_vector(key, next_value(key), v, [key](const std::string& item) {
+    return parse_exact_double(item, key);
+  });
+}
+
+void StateIO::u64s(std::string_view key, std::vector<std::uint64_t>& v) {
+  if (!loading()) {
+    std::string text = std::to_string(v.size());
+    for (std::uint64_t x : v) {
+      text += ' ';
+      text += std::to_string(x);
+    }
+    emit(key, text);
+    return;
+  }
+  parse_vector(key, next_value(key), v, [key](const std::string& item) {
+    std::uint64_t x = 0;
+    if (!parse_u64(item, x)) fail(key, "malformed entry '" + item + "'");
+    return x;
+  });
+}
+
+void StateIO::rng(std::string_view key, Rng& engine) {
+  if (!loading()) {
+    std::ostringstream text;
+    text << engine.engine();
+    emit(key, text.str());
+    return;
+  }
+  std::istringstream text(next_value(key));
+  std::mt19937_64 restored;
+  text >> restored;
+  if (text.fail()) fail(key, "malformed mt19937_64 stream");
+  engine.engine() = restored;
+}
+
+void StateIO::expect(std::string_view key, bool actual,
+                     std::string_view what) {
+  bool stored = actual;
+  boolean(key, stored);
+  if (stored != actual) throw StateCodecError(std::string(what));
+}
+
+void StateIO::expect(std::string_view key, std::uint64_t actual,
+                     std::string_view what) {
+  std::uint64_t stored = actual;
+  u64(key, stored);
+  if (stored != actual) throw StateCodecError(std::string(what));
+}
+
+void StateIO::expect(std::string_view key, const std::string& actual,
+                     std::string_view what) {
+  std::string stored = actual;
+  line(key, stored);
+  if (stored != actual) throw StateCodecError(std::string(what));
+}
+
+void StateIO::expect_end(std::string_view what) {
+  if (loading() && in_->peek() != std::istream::traits_type::eof()) {
+    throw StateCodecError("trailing data after " + std::string(what));
+  }
 }
 
 }  // namespace stayaway::util

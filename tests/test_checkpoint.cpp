@@ -3,20 +3,25 @@
 // typed rejection of version/integrity/truncation/malformed-record
 // damage, full-pipeline
 // round trips through edge states (empty representative set, mid-retry
-// actuation ledger, Failsafe degradation), and the load-bearing golden
-// guarantee — a run that crashes, restores and replays its tail is
-// byte-identical to the uninterrupted run.
+// actuation ledger, Failsafe degradation), forged counts and seeded
+// single-byte mutants failing only as util::StateCodecError, the pinned
+// bytes of four real blobs, and the load-bearing golden guarantee — a
+// run that crashes, restores and replays its tail is byte-identical to
+// the uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/fleet.hpp"
 #include "core/period.hpp"
 #include "harness/fleet.hpp"
 #include "harness/rig.hpp"
@@ -24,6 +29,7 @@
 #include "replay/replay.hpp"
 #include "sim/faults.hpp"
 #include "util/envelope.hpp"
+#include "util/rng.hpp"
 
 namespace stayaway::harness {
 namespace {
@@ -59,6 +65,48 @@ sim::FaultPlan stress_plan() {
   plan.faults.push_back(fault_of(sim::FaultKind::QosBlind, 10.0, 18.0));
   plan.faults.push_back(fault_of(sim::FaultKind::PauseFail, 0.0, 30.0, 0.5));
   return plan;
+}
+
+/// Pause failures all the way to the end of the run leave the actuator
+/// holding a live retry ledger at the final boundary.
+ExperimentSpec mid_retry_spec() {
+  ExperimentSpec spec = short_spec();
+  sim::FaultPlan plan;
+  plan.seed = 3;
+  plan.faults.push_back(fault_of(sim::FaultKind::PauseFail, 0.0, 40.0));
+  spec.faults = plan;
+  return spec;
+}
+
+/// A QoS blackout running through the end of the run drives the
+/// degradation machine into Failsafe.
+ExperimentSpec failsafe_spec() {
+  ExperimentSpec spec = short_spec();
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  plan.faults.push_back(fault_of(sim::FaultKind::QosBlind, 10.0, 40.0));
+  spec.faults = plan;
+  return spec;
+}
+
+/// A ring-fed host (DESIGN.md §15) whose burst window overflows its
+/// small ring, with ingest-delay/-dup faults holding samples back and
+/// pushing duplicates.
+ExperimentSpec ring_ingest_spec() {
+  ExperimentSpec spec = short_spec();
+  spec.stayaway.ingest.source = core::IngestSource::Ring;
+  spec.stayaway.ingest.rate_hz = 16.0;
+  spec.stayaway.ingest.ring_capacity = 32;
+  spec.stayaway.ingest.burst_rate_hz = 128.0;
+  spec.stayaway.ingest.burst_start_s = 6.0;
+  spec.stayaway.ingest.burst_end_s = 10.0;
+  sim::FaultPlan plan;
+  plan.seed = 4;
+  plan.faults.push_back(fault_of(sim::FaultKind::IngestDelay, 0.0, 40.0, 0.5));
+  plan.faults.push_back(
+      fault_of(sim::FaultKind::IngestDuplicate, 0.0, 40.0, 0.3));
+  spec.faults = plan;
+  return spec;
 }
 
 /// Byte-level record comparison: the record line is exact on NaN where
@@ -206,6 +254,172 @@ TEST(CheckpointEnvelope, TruncationAndTrailingGarbageRejected) {
   }
 }
 
+// --- Untrusted counts --------------------------------------------------
+
+constexpr const char* kForgedCount = "1000000000000000000";
+
+/// `blob` with the representative count forged and the body re-sealed,
+/// so the damage gets past the checksum and reaches the state decoder.
+std::string forge_representative_count(const std::string& blob) {
+  const std::string magic = "stayaway-checkpoint";
+  std::string body(util::open_envelope(blob, magic, core::kCheckpointVersion));
+  const std::string marker = "\nrepresentatives = ";
+  std::size_t start = body.find(marker);
+  EXPECT_NE(start, std::string::npos);
+  start += marker.size();
+  body.replace(start, body.find('\n', start) - start, kForgedCount);
+  return util::seal_envelope(magic, core::kCheckpointVersion, body);
+}
+
+TEST(CheckpointEnvelope, ForgedRepresentativeCountIsCodecError) {
+  std::string forged = forge_representative_count(sample_blob());
+  ExperimentSpec spec = short_spec();
+  spec.duration_s = 12.0;
+  HostRig rig = build_host_rig(spec);
+  core::HostPipeline pipeline(*rig.host, *rig.probe,
+                              derive_stayaway_config(spec));
+  EXPECT_THROW(core::restore_checkpoint(pipeline, forged),
+               util::StateCodecError);
+}
+
+/// Mapper whose snapshot is a fixed list of recorded `key = value`
+/// lines: it plants a forged mapper section in the checkpoints the
+/// supervisor takes. It maps nothing and is never loaded into.
+class RecordedSnapshotMapper : public core::Mapper {
+ public:
+  explicit RecordedSnapshotMapper(
+      std::vector<std::pair<std::string, std::string>> lines)
+      : lines_(std::move(lines)) {}
+
+  monitor::SampleHealth map(core::PeriodRecord&, obs::Observer*) override {
+    return {};
+  }
+  void observe_qos(std::size_t, bool) override {}
+  const core::StateSpace& space() const override { return space_; }
+  bool checkpointable() const override { return true; }
+  void state(util::StateIO& io) override {
+    for (auto& [key, value] : lines_) io.line(key, value);
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::string>> lines_;
+  core::StateSpace space_;
+};
+
+TEST(SupervisorGolden, ForgedRepresentativeCountIsDroppedAsCorrupt) {
+  // The mapper section of a real checkpoint, with its representative
+  // count forged: every checkpoint the supervisor takes carries it, so
+  // the crash recovery must drop them all as corrupt and cold-start
+  // instead of failing the member.
+  const std::string magic = "stayaway-checkpoint";
+  std::string body(util::open_envelope(
+      forge_representative_count(sample_blob()), magic,
+      core::kCheckpointVersion));
+  std::vector<std::pair<std::string, std::string>> lines;
+  std::istringstream in(body.substr(body.find("has_mapper = true\n") +
+                                    std::string("has_mapper = true\n").size()));
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("has_forecaster = ", 0) == 0) break;
+    std::size_t eq = line.find(" = ");
+    lines.emplace_back(line.substr(0, eq), line.substr(eq + 3));
+  }
+  ASSERT_FALSE(lines.empty());
+
+  ExperimentSpec spec = short_spec();
+  spec.duration_s = 12.0;
+  sim::FaultPlan plan;
+  plan.seed = 1;
+  plan.faults.push_back(fault_of(sim::FaultKind::HostCrash, 6.0, 7.0));
+  HostRig rig = build_host_rig(spec);
+  core::StageSet stages;
+  stages.mapper = std::make_unique<RecordedSnapshotMapper>(lines);
+  auto forging = std::make_unique<core::HostPipeline>(
+      *rig.host, *rig.probe, derive_stayaway_config(spec), std::move(stages));
+  forging->install_faults(plan);
+
+  HostRig fresh_rig;
+  std::unique_ptr<core::HostPipeline> fresh;
+  core::FleetConfig config;
+  config.checkpoint_every = 2;
+  core::FleetController controller(config);
+  core::FleetController::Member member;
+  member.name = "solo";
+  member.host = rig.host.get();
+  member.pipeline = forging.get();
+  member.periods = 12;
+  member.rebuild = [&] {
+    fresh.reset();
+    fresh_rig = build_host_rig(spec);
+    fresh = std::make_unique<core::HostPipeline>(
+        *fresh_rig.host, *fresh_rig.probe, derive_stayaway_config(spec));
+    fresh->install_faults(plan);
+    return core::FleetController::Member::Rebuilt{fresh_rig.host.get(),
+                                                  fresh.get()};
+  };
+  controller.add_member(std::move(member));
+  controller.run();
+
+  const core::RecoveryReport& report = controller.members()[0].recovery;
+  EXPECT_GE(report.crashes, 1u);
+  EXPECT_GE(report.corrupt_checkpoints_dropped, 1u);
+  EXPECT_EQ(report.cold_starts, 1u);
+}
+
+/// Seeded single-byte damage to a real checkpoint body, re-sealed so it
+/// passes the checksum: every mutant must either restore cleanly or fail
+/// as util::StateCodecError — the one type the supervisor drops and
+/// --restore reports. Any other exception type means a load path trusts
+/// its input.
+void expect_mutants_restore_or_codec_error(const ExperimentSpec& spec,
+                                           const std::string& blob,
+                                           std::uint64_t seed,
+                                           std::size_t mutants) {
+  const std::string magic = "stayaway-checkpoint";
+  const std::string body(
+      util::open_envelope(blob, magic, core::kCheckpointVersion));
+  ASSERT_FALSE(body.empty());
+  // Bytes that keep a mutant close to well-formed, so it reaches deep
+  // into the decoders instead of failing on the first key.
+  const std::string alphabet = "0123456789 -.=\nxeinaft";
+  Rng rng(seed);
+  std::size_t restored = 0;
+  for (std::size_t m = 0; m < mutants; ++m) {
+    std::string mutant = body;
+    std::size_t pos = rng.index(mutant.size());
+    mutant[pos] = alphabet[rng.index(alphabet.size())];
+    std::string damaged =
+        util::seal_envelope(magic, core::kCheckpointVersion, mutant);
+    HostRig rig = build_host_rig(spec);
+    core::HostPipeline pipeline(*rig.host, *rig.probe,
+                                derive_stayaway_config(spec));
+    if (spec.faults.has_value()) pipeline.install_faults(*spec.faults);
+    try {
+      core::restore_checkpoint(pipeline, damaged);
+      ++restored;
+    } catch (const util::StateCodecError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "byte " << pos << " -> '" << mutant[pos]
+                    << "' threw a non-codec error: " << e.what();
+    }
+  }
+  // Both outcomes occur: the mutants are neither all harmless nor all
+  // rejected at the first byte.
+  EXPECT_GT(restored, 0u);
+  EXPECT_LT(restored, mutants);
+}
+
+TEST(CheckpointMutation, MidRetryLedgerMutantsRestoreOrFailTyped) {
+  ExperimentSpec spec = mid_retry_spec();
+  expect_mutants_restore_or_codec_error(
+      spec, run_supervised(spec).final_checkpoint, 17, 250);
+}
+
+TEST(CheckpointMutation, RingIngestMutantsRestoreOrFailTyped) {
+  ExperimentSpec spec = ring_ingest_spec();
+  expect_mutants_restore_or_codec_error(
+      spec, run_supervised(spec).final_checkpoint, 29, 250);
+}
+
 // --- Full-pipeline round trips ----------------------------------------
 
 /// Restoring a full-run checkpoint and re-exporting must reproduce the
@@ -252,13 +466,7 @@ TEST(CheckpointRoundTrip, EmptyRepresentativeSet) {
 }
 
 TEST(CheckpointRoundTrip, MidRetryActuationLedger) {
-  // Pause failures all the way to the end of the run leave the actuator
-  // holding a live retry ledger at the final boundary.
-  ExperimentSpec spec = short_spec();
-  sim::FaultPlan plan;
-  plan.seed = 3;
-  plan.faults.push_back(fault_of(sim::FaultKind::PauseFail, 0.0, 40.0));
-  spec.faults = plan;
+  ExperimentSpec spec = mid_retry_spec();
   FleetHostResult r = run_supervised(spec);
   EXPECT_GT(r.result.actuation_retries, 0u);
   EXPECT_NE(r.final_checkpoint.find("actuation_retries_total = "),
@@ -267,13 +475,8 @@ TEST(CheckpointRoundTrip, MidRetryActuationLedger) {
 }
 
 TEST(CheckpointRoundTrip, FailsafeDegradationState) {
-  // A QoS blackout running through the end of the run drives the
-  // degradation machine into Failsafe; the snapshot must carry it.
-  ExperimentSpec spec = short_spec();
-  sim::FaultPlan plan;
-  plan.seed = 5;
-  plan.faults.push_back(fault_of(sim::FaultKind::QosBlind, 10.0, 40.0));
-  spec.faults = plan;
+  // The snapshot must carry the Failsafe degradation state.
+  ExperimentSpec spec = failsafe_spec();
   FleetHostResult r = run_supervised(spec);
   EXPECT_GT(r.result.failsafe_periods, 0u);
   EXPECT_NE(r.final_checkpoint.find("degradation = 2"), std::string::npos);
@@ -351,19 +554,7 @@ TEST(SupervisorGolden, RingIngestHostWarmRestartIsByteIdentical) {
   // at the normal rate the lookahead leaves a popped-but-not-due sample
   // and queued ones behind every drain; ingest-delay/-dup faults make
   // the stream hold samples back and push duplicates.
-  ExperimentSpec clean = short_spec();
-  clean.stayaway.ingest.source = core::IngestSource::Ring;
-  clean.stayaway.ingest.rate_hz = 16.0;
-  clean.stayaway.ingest.ring_capacity = 32;
-  clean.stayaway.ingest.burst_rate_hz = 128.0;
-  clean.stayaway.ingest.burst_start_s = 6.0;
-  clean.stayaway.ingest.burst_end_s = 10.0;
-  sim::FaultPlan plan;
-  plan.seed = 4;
-  plan.faults.push_back(fault_of(sim::FaultKind::IngestDelay, 0.0, 40.0, 0.5));
-  plan.faults.push_back(
-      fault_of(sim::FaultKind::IngestDuplicate, 0.0, 40.0, 0.3));
-  clean.faults = plan;
+  ExperimentSpec clean = ring_ingest_spec();
   FleetHostResult baseline = run_supervised(clean);
   EXPECT_FALSE(baseline.recovery.any_failures());
 
@@ -574,6 +765,50 @@ TEST(ClusterRecovery, CrashedMigrationRunReplaysByteIdentical) {
   replay::ReplayReport report = replay::replay_run_log(run.log);
   EXPECT_TRUE(report.ok) << report.error;
   EXPECT_GT(report.periods_checked, 0u);
+}
+
+// --- Pinned blob bytes --------------------------------------------------
+
+/// The checkpoint format is a contract: a restore of a blob written by an
+/// earlier build must keep working, so any codec change has to reproduce
+/// these bytes exactly. Round-trip tests cannot catch a symmetric
+/// rewrite (encode∘restore∘encode holds for any self-consistent format);
+/// these digests can.
+struct PinnedBlob {
+  std::uint64_t fnv1a64;
+  std::size_t size;
+};
+
+void expect_pinned(const std::string& blob, PinnedBlob want) {
+  ASSERT_FALSE(blob.empty());
+  EXPECT_EQ(util::fnv1a64(blob), want.fnv1a64) << "blob bytes drifted";
+  EXPECT_EQ(blob.size(), want.size) << "blob size drifted";
+}
+
+TEST(CheckpointGolden, MidRetryLedgerBlobBytesPinned) {
+  expect_pinned(run_supervised(mid_retry_spec()).final_checkpoint,
+                {8816343807509186015ULL, 37764});
+}
+
+TEST(CheckpointGolden, FailsafeBlobBytesPinned) {
+  expect_pinned(run_supervised(failsafe_spec()).final_checkpoint,
+                {265700357250961628ULL, 37026});
+}
+
+TEST(CheckpointGolden, RingIngestBlobBytesPinned) {
+  expect_pinned(run_supervised(ring_ingest_spec()).final_checkpoint,
+                {12134603103207108948ULL, 51242});
+}
+
+TEST(CheckpointGolden, CoordinatorBlobBytesPinned) {
+  FleetSpec spec = replay::to_fleet_spec(
+      replay::canonical_fleet(cluster_recovery_doc(false), 0));
+  spec.export_checkpoints = true;
+  FleetResult r = run_fleet(spec);
+  ASSERT_TRUE(r.cluster.has_value());
+  EXPECT_GE(r.cluster->migrations, 1u);
+  expect_pinned(r.cluster->final_coordinator,
+                {13472215620403267928ULL, 6692});
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,82 +52,88 @@ sim::FaultPlan stress_plan() {
   return plan;
 }
 
+/// Writes an enum field as its integer code.
+template <typename E>
+void write_enum(util::StateIO& io, std::string_view key, E value) {
+  auto code = static_cast<std::uint64_t>(value);
+  io.u64(key, code);
+}
+
 /// The reference record encoding the golden digests were captured with:
 /// every PeriodRecord field as its own `key = value` line, in the order
 /// the v2 checkpoint body wrote them. Kept here verbatim so the digests
 /// stay pinned independently of the production codec.
-void write_reference_record(util::StateWriter& w,
-                            const core::PeriodRecord& rec) {
-  w.real("time", rec.time);
-  w.u64("mode", static_cast<std::uint64_t>(rec.mode));
-  w.real("x", rec.state.x);
-  w.real("y", rec.state.y);
-  w.u64("representative", rec.representative);
-  w.boolean("new_representative", rec.new_representative);
-  w.boolean("violation_observed", rec.violation_observed);
-  w.boolean("violation_predicted", rec.violation_predicted);
-  w.boolean("model_ready", rec.model_ready);
-  w.u64("action", static_cast<std::uint64_t>(rec.action));
-  w.boolean("batch_paused_after", rec.batch_paused_after);
-  w.real("stress", rec.stress);
-  w.real("beta", rec.beta);
-  w.u64("degradation", static_cast<std::uint64_t>(rec.degradation));
-  w.u64("quarantined_dims", rec.quarantined_dims);
-  w.u64("max_staleness", rec.max_staleness);
-  w.boolean("qos_visible", rec.qos_visible);
-  w.u64("actuation_retries", rec.actuation_retries);
-  w.boolean("actuation_pending", rec.actuation_pending);
-  w.u64("samples_ingested", rec.samples_ingested);
-  w.u64("late_samples", rec.late_samples);
-  w.u64("duplicate_samples", rec.duplicate_samples);
-  w.u64("overflow_drops", rec.overflow_drops);
-  w.u64("migrations_out", rec.migrations_out);
-  w.u64("migrations_in", rec.migrations_in);
+void write_reference_record(util::StateIO& io, core::PeriodRecord& rec) {
+  io.real("time", rec.time);
+  write_enum(io, "mode", rec.mode);
+  io.real("x", rec.state.x);
+  io.real("y", rec.state.y);
+  io.u64("representative", rec.representative);
+  io.boolean("new_representative", rec.new_representative);
+  io.boolean("violation_observed", rec.violation_observed);
+  io.boolean("violation_predicted", rec.violation_predicted);
+  io.boolean("model_ready", rec.model_ready);
+  write_enum(io, "action", rec.action);
+  io.boolean("batch_paused_after", rec.batch_paused_after);
+  io.real("stress", rec.stress);
+  io.real("beta", rec.beta);
+  write_enum(io, "degradation", rec.degradation);
+  io.u64("quarantined_dims", rec.quarantined_dims);
+  io.u64("max_staleness", rec.max_staleness);
+  io.boolean("qos_visible", rec.qos_visible);
+  io.u64("actuation_retries", rec.actuation_retries);
+  io.boolean("actuation_pending", rec.actuation_pending);
+  io.u64("samples_ingested", rec.samples_ingested);
+  io.u64("late_samples", rec.late_samples);
+  io.u64("duplicate_samples", rec.duplicate_samples);
+  io.u64("overflow_drops", rec.overflow_drops);
+  io.u64("migrations_out", rec.migrations_out);
+  io.u64("migrations_in", rec.migrations_in);
 }
 
 /// One FNV-1a digest over everything a run produces: every PeriodRecord
 /// in the reference encoding, every per-period series and every
-/// aggregate, so any drift in any field changes the digest.
-std::uint64_t result_digest(const ExperimentResult& r) {
-  auto flags = [](const std::vector<int>& v) {
-    return std::vector<std::uint64_t>(v.begin(), v.end());
-  };
+/// aggregate, so any drift in any field changes the digest. Takes a copy
+/// because the codec's field calls take references.
+std::uint64_t result_digest(ExperimentResult r) {
   std::ostringstream out;
-  util::StateWriter w(out);
-  w.u64("records", r.stayaway_records.size());
-  for (const core::PeriodRecord& rec : r.stayaway_records) {
-    write_reference_record(w, rec);
-  }
-  w.reals("time", r.time);
-  w.reals("qos", r.qos);
-  w.u64s("violated", flags(r.violated));
-  w.reals("utilization", r.utilization);
-  w.u64s("batch_running", flags(r.batch_running));
-  w.reals("offered_tps", r.offered_tps);
-  w.reals("completed_tps", r.completed_tps);
-  w.u64("violation_periods", r.violation_periods);
-  w.real("violation_fraction", r.violation_fraction);
-  w.real("avg_utilization", r.avg_utilization);
-  w.real("avg_qos", r.avg_qos);
-  w.real("batch_cpu_work", r.batch_cpu_work);
-  w.real("sensitive_cpu_work", r.sensitive_cpu_work);
-  w.u64s("tally", {r.tally.true_positive, r.tally.false_positive,
-                   r.tally.true_negative, r.tally.false_negative});
-  w.u64("pauses", r.pauses);
-  w.u64("resumes", r.resumes);
-  w.u64("degraded_periods", r.degraded_periods);
-  w.u64("failsafe_periods", r.failsafe_periods);
-  w.u64("readings_quarantined", r.readings_quarantined);
-  w.u64("actuation_retries", r.actuation_retries);
-  w.u64("actuation_abandoned", r.actuation_abandoned);
-  w.real("final_beta", r.final_beta);
-  w.u64("representative_count", r.representative_count);
-  w.real("final_stress", r.final_stress);
-  w.boolean("template", r.exported_template.has_value());
-  if (r.exported_template.has_value()) r.exported_template->save(out);
-  for (const mds::Point2& p : r.final_map) {
-    w.real("x", p.x);
-    w.real("y", p.y);
+  util::StateIO io(out);
+  io.sequence("records", r.stayaway_records, [&io](core::PeriodRecord& rec) {
+    write_reference_record(io, rec);
+  });
+  io.reals("time", r.time);
+  io.reals("qos", r.qos);
+  io.u64s("violated", r.violated);
+  io.reals("utilization", r.utilization);
+  io.u64s("batch_running", r.batch_running);
+  io.reals("offered_tps", r.offered_tps);
+  io.reals("completed_tps", r.completed_tps);
+  io.u64("violation_periods", r.violation_periods);
+  io.real("violation_fraction", r.violation_fraction);
+  io.real("avg_utilization", r.avg_utilization);
+  io.real("avg_qos", r.avg_qos);
+  io.real("batch_cpu_work", r.batch_cpu_work);
+  io.real("sensitive_cpu_work", r.sensitive_cpu_work);
+  std::vector<std::uint64_t> tally = {
+      r.tally.true_positive, r.tally.false_positive, r.tally.true_negative,
+      r.tally.false_negative};
+  io.u64s("tally", tally);
+  io.u64("pauses", r.pauses);
+  io.u64("resumes", r.resumes);
+  io.u64("degraded_periods", r.degraded_periods);
+  io.u64("failsafe_periods", r.failsafe_periods);
+  io.u64("readings_quarantined", r.readings_quarantined);
+  io.u64("actuation_retries", r.actuation_retries);
+  io.u64("actuation_abandoned", r.actuation_abandoned);
+  io.real("final_beta", r.final_beta);
+  io.u64("representative_count", r.representative_count);
+  io.real("final_stress", r.final_stress);
+  bool has_template = r.exported_template.has_value();
+  io.boolean("template", has_template);
+  if (has_template) r.exported_template->save(out);
+  for (mds::Point2& p : r.final_map) {
+    io.real("x", p.x);
+    io.real("y", p.y);
   }
   return util::fnv1a64(out.str());
 }

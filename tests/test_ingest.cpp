@@ -271,9 +271,9 @@ TEST(RingSampleSource, RestoredSourceContinuesTheStream) {
   drain_all(*original, {1.0, 2.0, 3.5});
   ASSERT_GT(original->overflow_total(), 0u);
   std::ostringstream blob;
-  util::StateWriter writer(blob);
-  original->save_state(writer);
-  injector_a.save_state(writer);
+  util::StateIO writer(blob);
+  original->state(writer);
+  injector_a.state(writer);
 
   // A fresh source of the same config resumes from the snapshot, and
   // re-encodes it byte for byte.
@@ -281,13 +281,13 @@ TEST(RingSampleSource, RestoredSourceContinuesTheStream) {
   auto restored = make_ring(options);
   restored->set_fault_injector(&injector_b);
   std::istringstream in(blob.str());
-  util::StateReader reader(in);
-  restored->load_state(reader);
-  injector_b.load_state(reader);
+  util::StateIO reader(in);
+  restored->state(reader);
+  injector_b.state(reader);
   std::ostringstream again;
-  util::StateWriter rewriter(again);
-  restored->save_state(rewriter);
-  injector_b.save_state(rewriter);
+  util::StateIO rewriter(again);
+  restored->state(rewriter);
+  injector_b.state(rewriter);
   EXPECT_EQ(again.str(), blob.str());
 
   const std::vector<double> rest = {4.0, 6.0, 9.0};

@@ -160,6 +160,21 @@ TEST(RunLogDocument, RejectsBadFraming) {
                PreconditionError);
 }
 
+TEST(RunLogDocument, ForgedRecordCountFailsAtTheMissingLine) {
+  // The count is untrusted input: it must not size an allocation, so a
+  // forged one fails as a typed framing error at the first absent record.
+  std::istringstream in(
+      "stayaway-runlog v1\nscenario 0\n"
+      "records \"host0\" 1000000000000000000\n");
+  try {
+    parse_run_log(in);
+    FAIL() << "forged record count accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("run-log line 4"), std::string::npos)
+        << e.what();
+  }
+}
+
 // The acceptance contract: a recorded fleet run (two hosts, fault plans)
 // replays byte-identically from nothing but the log.
 TEST(Replay, FaultedFleetRunReplaysByteIdentical) {

@@ -11,7 +11,7 @@
 //                    (src/core/checkpoint.*) is its own table entry
 //                    sitting above core, and pipeline stages may never
 //                    include it: stages serialize through the
-//                    StateWriter handed to save_state(), the envelope /
+//                    util::StateIO handed to state(), the envelope /
 //                    checksum / restore I/O stays in the supervisor
 //                    layer. The cluster coordinator (src/core/cluster/)
 //                    is likewise its own entry above core and may never
@@ -448,15 +448,15 @@ void include_graph_pass(const SourceFile& f, std::vector<Finding>& out) {
       // Stage isolation: stages/ may take sim's ID vocabulary
       // (sim/vm.hpp) but nothing that reaches the simulated host.
       // Checkpoint isolation: a stage serializes itself through the
-      // StateWriter/StateReader its save_state()/load_state() hooks are
-      // handed (util/statecodec.hpp is fine); the envelope, checksum and
+      // util::StateIO its state() function is handed
+      // (util/statecodec.hpp is fine); the envelope, checksum and
       // restore I/O belong to the supervisor layer, never to a stage.
       if (in_stages && dep == "checkpoint") {
         out.push_back({f.path, t.line, "include-graph",
                        "checkpoint-isolation",
                        "pipeline stages must not include " + t.text +
-                           "; stages serialize through the StateWriter "
-                           "handed to save_state(), checkpoint envelope "
+                           "; stages serialize through the util::StateIO "
+                           "handed to state(), checkpoint envelope "
                            "I/O stays in the supervisor layer"});
         continue;
       }
