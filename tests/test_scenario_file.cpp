@@ -1,12 +1,14 @@
 // Tests for the scenario-file parser behind the stayaway_sim CLI tool.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <string>
 
 #include "harness/scenario_file.hpp"
 #include "monitor/measurement.hpp"
+#include "replay/run_log.hpp"
 #include "sim/faults.hpp"
 #include "util/check.hpp"
 
@@ -499,6 +501,153 @@ TEST(FleetScenarioFile, SerializedDocumentRunsIdentically) {
   ExperimentResult b = run_experiment(back.base.spec);
   EXPECT_EQ(a.stayaway_records, b.stayaway_records);
   EXPECT_EQ(a.qos, b.qos);
+}
+
+// --- Canonical bytes ------------------------------------------------------
+//
+// Run-logs embed serialize_fleet_scenario's output (DESIGN.md §14), so the
+// canonical form is a format: these tests pin it byte for byte. A
+// fixed-point test alone would pass if reader and writer drifted together.
+
+/// A document that uses every key of every section: two [host] overlays,
+/// workers, a [cluster] section with mobile and admit VMs, a non-default
+/// ingest block, extra VMs, a seeded two-line fault plan, compare, and
+/// quoted paths holding '#' and a space.
+constexpr const char* kEveryKeyDocument = R"(# every key, every section
+workers = 2
+sensitive = webservice-mix
+batch = soplex
+policy = stay-away
+duration_s = 45
+period_s = 0.5
+tick_s = 0.05
+batch_start_s = 5
+sensitive_start_s = 1
+seed = 11
+workload = diurnal
+workload_cycles = 2.5
+dedup_epsilon = 0.07
+prediction_samples = 6
+beta_initial = 0.02
+beta_increment = 0.0125
+beta_max = 0.3
+resume_grace_s = 4
+starvation_patience_s = 20
+random_resume_probability = 0.1
+actions_enabled = false
+allow_sensitive_demotion = true
+aggregate_batch = false
+noise_fraction = 0.03
+metrics = cpu, mem ,io
+ingest_source = ring
+ingest_rate_hz = 16
+ingest_ring_capacity = 64
+ingest_lookahead_s = 0.5
+ingest_burst_rate_hz = 128
+ingest_burst_start_s = 10
+ingest_burst_end_s = 20
+vm = extra:membomb:12.5
+fault_seed = 9
+fault = sensor-dropout start=3 end=9 p=0.25 dim=1
+fault = qos-blind start=12 end=15   # trailing comment
+compare = true
+template_in = base.template.csv
+template_out = "runs/out #1.csv"
+series_csv = "runs/series #1.csv"
+[cluster]
+migrate = false
+admit_margin = 0.3
+admit_patience = 4
+migration_cooldown = 3
+admit_footprint = 0.4
+mobile = crunch:cpubomb:web-a:20
+admit = late:twitter-analysis:30
+[host "web-a"]
+seed = 5
+[host "web b"]
+batch = cpubomb
+vm = spare:cpubomb
+)";
+
+/// One expanded host body of kEveryKeyDocument's canonical form.
+std::string every_key_host(const std::string& batch, const std::string& seed,
+                           const std::string& extra_vms) {
+  return "sensitive = webservice-mix\n"
+         "batch = " + batch + "\n"
+         "policy = stay-away\n"
+         "duration_s = 45\n"
+         "period_s = 0.5\n"
+         "tick_s = 0.05\n"
+         "batch_start_s = 5\n"
+         "sensitive_start_s = 1\n"
+         "seed = " + seed + "\n"
+         "workload = diurnal\n"
+         "workload_cycles = 2.5\n"
+         "dedup_epsilon = 0.07\n"
+         "prediction_samples = 6\n"
+         "beta_initial = 0.02\n"
+         "beta_increment = 0.0125\n"
+         "beta_max = 0.3\n"
+         "resume_grace_s = 4\n"
+         "starvation_patience_s = 20\n"
+         "random_resume_probability = 0.1\n"
+         "actions_enabled = false\n"
+         "allow_sensitive_demotion = true\n"
+         "aggregate_batch = false\n"
+         "noise_fraction = 0.03\n"
+         "metrics = cpu,mem,io\n"
+         "ingest_source = ring\n"
+         "ingest_rate_hz = 16\n"
+         "ingest_ring_capacity = 64\n"
+         "ingest_lookahead_s = 0.5\n"
+         "ingest_burst_rate_hz = 128\n"
+         "ingest_burst_start_s = 10\n"
+         "ingest_burst_end_s = 20\n"
+         "vm = extra:membomb:12.5\n" + extra_vms +
+         "fault_seed = 9\n"
+         "fault = sensor-dropout start=3 end=9 p=0.25 mag=8 dim=1\n"
+         "fault = qos-blind start=12 end=15 p=1 mag=8 dim=-1\n"
+         "compare = true\n"
+         "template_in = base.template.csv\n"
+         "template_out = \"runs/out #1.csv\"\n"
+         "series_csv = \"runs/series #1.csv\"\n";
+}
+
+std::string every_key_canonical() {
+  return "workers = 2\n"
+         "[cluster]\n"
+         "migrate = false\n"
+         "admit_margin = 0.3\n"
+         "admit_patience = 4\n"
+         "migration_cooldown = 3\n"
+         "admit_footprint = 0.4\n"
+         "mobile = crunch:cpubomb:web-a:20\n"
+         "admit = late:twitter-analysis:30\n"
+         "[host \"web-a\"]\n" +
+         every_key_host("soplex", "5", "") + "[host \"web b\"]\n" +
+         every_key_host("cpubomb", "11", "vm = spare:cpubomb:15\n");
+}
+
+TEST(ScenarioGolden, CommittedRunLogScenariosAreCanonical) {
+  std::filesystem::path dir(SA_REGRESSION_DIR);
+  ASSERT_TRUE(std::filesystem::is_directory(dir));
+  std::size_t checked = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".runlog") continue;
+    replay::RunLog log = replay::load_run_log(entry.path().string());
+    EXPECT_EQ(serialize_fleet_scenario(parse_fleet(log.scenario_text)),
+              log.scenario_text)
+        << entry.path();
+    ++checked;
+  }
+  EXPECT_GE(checked, 3u);
+}
+
+TEST(ScenarioGolden, EveryKeyDocumentSerializesToPinnedBytes) {
+  std::string canonical =
+      serialize_fleet_scenario(parse_fleet(kEveryKeyDocument));
+  EXPECT_EQ(canonical, every_key_canonical());
+  EXPECT_EQ(serialize_fleet_scenario(parse_fleet(canonical)), canonical);
 }
 
 }  // namespace
