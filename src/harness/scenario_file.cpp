@@ -1,9 +1,10 @@
 #include "harness/scenario_file.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <istream>
 #include <set>
+#include <type_traits>
 
 #include "util/check.hpp"
 #include "util/strings.hpp"
@@ -12,6 +13,10 @@ namespace stayaway::harness {
 
 namespace {
 
+[[noreturn]] void fail(const std::string& message) {
+  throw PreconditionError(message);
+}
+
 std::string trim(const std::string& s) {
   auto begin = s.find_first_not_of(" \t\r");
   if (begin == std::string::npos) return "";
@@ -19,38 +24,19 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-[[noreturn]] void fail(std::size_t line, const std::string& message) {
-  throw PreconditionError("scenario line " + std::to_string(line) + ": " +
-                          message);
-}
-
-double parse_double(std::size_t line, const std::string& value) {
-  double v = 0.0;
-  if (!stayaway::parse_double(value, v)) {
-    fail(line, "expected a number, got '" + value + "'");
+/// Splits `value` at every `sep`, trimming each part.
+std::vector<std::string> split_trimmed(const std::string& value, char sep) {
+  std::vector<std::string> parts;
+  std::size_t pos = 0;
+  while (true) {
+    auto c = value.find(sep, pos);
+    parts.push_back(trim(
+        value.substr(pos, c == std::string::npos ? std::string::npos
+                                                 : c - pos)));
+    if (c == std::string::npos) break;
+    pos = c + 1;
   }
-  return v;
-}
-
-bool parse_bool(std::size_t line, const std::string& value) {
-  if (value == "true" || value == "yes" || value == "1") return true;
-  if (value == "false" || value == "no" || value == "0") return false;
-  fail(line, "expected true/false, got '" + value + "'");
-}
-
-/// Every integer-valued key (counts and seeds) parses through here, so
-/// `nan`, `-1` or `1e300` fail on their line instead of reaching an
-/// undefined float-to-integer cast. Plain decimal covers the full 64-bit
-/// range; forms like `seed = 1e6` keep working but round above 2^53 —
-/// recorded scenarios always use the exact decimal form.
-std::uint64_t parse_count_at(std::size_t line, const std::string& value,
-                             std::uint64_t max = SIZE_MAX) {
-  std::uint64_t n = 0;
-  if (!parse_count(value, max, n)) {
-    fail(line, "expected a finite, non-negative, in-range count, got '" +
-                   value + "'");
-  }
-  return n;
+  return parts;
 }
 
 /// Truncates `line` at the first '#' that is not inside a double-quoted
@@ -72,7 +58,7 @@ std::string strip_comment(const std::string& line) {
 
 /// Decodes a double-quoted value (`"a # b"`, escapes \\ \" \n \t \r).
 /// Values not starting with a quote pass through untouched.
-std::string unquote_value(std::size_t line_no, const std::string& value) {
+std::string unquote_value(const std::string& value) {
   if (value.empty() || value.front() != '"') return value;
   std::string out;
   std::size_t i = 1;
@@ -80,12 +66,12 @@ std::string unquote_value(std::size_t line_no, const std::string& value) {
     char c = value[i];
     if (c == '"') {
       if (i + 1 != value.size()) {
-        fail(line_no, "trailing characters after closing quote");
+        fail("trailing characters after closing quote");
       }
       return out;
     }
     if (c == '\\') {
-      if (i + 1 == value.size()) fail(line_no, "dangling escape in string");
+      if (i + 1 == value.size()) fail("dangling escape in string");
       char esc = value[++i];
       switch (esc) {
         case '\\': out += '\\'; break;
@@ -94,13 +80,13 @@ std::string unquote_value(std::size_t line_no, const std::string& value) {
         case 't': out += '\t'; break;
         case 'r': out += '\r'; break;
         default:
-          fail(line_no, std::string("unknown escape '\\") + esc + "'");
+          fail(std::string("unknown escape '\\") + esc + "'");
       }
       continue;
     }
     out += c;
   }
-  fail(line_no, "unterminated quoted string");
+  fail("unterminated quoted string");
 }
 
 bool needs_quoting(const std::string& s) {
@@ -128,6 +114,235 @@ std::string quote_value(const std::string& s) {
 std::string maybe_quote(const std::string& s) {
   return needs_quoting(s) ? quote_value(s) : s;
 }
+
+// Value codecs, one overload pair per field type: text(v) renders a
+// value, read(text, v) parses one back. Read errors are untagged: the
+// document loop names the line once.
+
+std::string text(double v) { return format_double_exact(v); }
+void read(const std::string& t, double& v) {
+  if (!parse_double(t, v)) fail("expected a number, got '" + t + "'");
+}
+
+/// Every integer-valued key (counts and seeds) parses through here, so
+/// `nan`, `-1` or `1e300` fail on their line instead of reaching an
+/// undefined float-to-integer cast. Plain decimal covers the full 64-bit
+/// range; forms like `seed = 1e6` keep working but round above 2^53 —
+/// recorded scenarios always use the exact decimal form.
+std::string text(std::uint64_t v) { return std::to_string(v); }
+void read(const std::string& t, std::uint64_t& v) {
+  if (!parse_count(t, UINT64_MAX, v)) {
+    fail("expected a finite, non-negative, in-range count, got '" + t + "'");
+  }
+}
+
+std::string text(bool v) { return v ? "true" : "false"; }
+void read(const std::string& t, bool& v) {
+  v = t == "true" || t == "yes" || t == "1";
+  if (!v && t != "false" && t != "no" && t != "0") {
+    fail("expected true/false, got '" + t + "'");
+  }
+}
+
+std::string text(const std::string& v) { return v; }
+void read(const std::string& t, std::string& v) { v = t; }
+
+template <typename T>
+std::string text(const std::optional<T>& v) {
+  return text(*v);
+}
+template <typename T>
+void read(const std::string& t, std::optional<T>& v) {
+  read(t, v.emplace());
+}
+
+/// The app and policy kinds, by their to_string names.
+template <typename E>
+  requires std::is_enum_v<E>
+std::string text(E v) {
+  return to_string(v);
+}
+void read(const std::string& t, SensitiveKind& v) {
+  v = sensitive_kind_from_string(t);
+}
+void read(const std::string& t, BatchKind& v) { v = batch_kind_from_string(t); }
+void read(const std::string& t, PolicyKind& v) {
+  v = policy_kind_from_string(t);
+}
+
+std::string text(core::IngestSource v) {
+  return v == core::IngestSource::Ring ? "ring" : "sync";
+}
+void read(const std::string& t, core::IngestSource& v) {
+  if (t != "sync" && t != "ring") {
+    fail("expected 'sync' or 'ring', got '" + t + "'");
+  }
+  v = t == "ring" ? core::IngestSource::Ring : core::IngestSource::Synchronous;
+}
+
+/// A comma-separated sampler metric set: `cpu,mem,io`.
+std::string text(const std::vector<monitor::MetricKind>& metrics) {
+  std::vector<std::string> names;
+  for (monitor::MetricKind m : metrics) names.emplace_back(to_string(m));
+  return join(names, ",");
+}
+void read(const std::string& t, std::vector<monitor::MetricKind>& metrics) {
+  metrics.clear();
+  for (const std::string& name : split_trimmed(t, ',')) {
+    metrics.push_back(monitor::metric_kind_from_string(name));
+  }
+}
+
+std::string text(const sim::FaultSpec& f) { return sim::to_spec_string(f); }
+void read(const std::string& t, sim::FaultSpec& f) {
+  f = sim::parse_fault_spec(t);
+}
+
+/// Splits a colon-separated VM value, `name:kind[:...]`, into trimmed
+/// parts and reads its head: between `min` and `max` parts (else the
+/// `syntax` is quoted back), a non-empty name, a batch kind other than
+/// none.
+std::vector<std::string> vm_parts(const std::string& t, std::size_t min,
+                                  std::size_t max, const char* syntax,
+                                  std::string& name, BatchKind& kind) {
+  std::vector<std::string> parts = split_trimmed(t, ':');
+  if (parts.size() < min || parts.size() > max) {
+    fail(std::string("expected '") + syntax + "', got '" + t + "'");
+  }
+  name = parts[0];
+  if (name.empty()) fail("empty VM name");
+  read(parts[1], kind);
+  if (kind == BatchKind::None) fail("VM kind must not be 'none'");
+  return parts;
+}
+
+/// A start or arrival time inside a VM value.
+double time_value(const std::string& t) {
+  double v = 0.0;
+  read(t, v);
+  if (v < 0.0) fail("times must be >= 0, got " + t);
+  return v;
+}
+
+/// `name:kind[:start_s]`: an extra named batch VM.
+std::string text(const ExtraVmSpec& vm) {
+  return vm.name + ":" + text(vm.kind) + ":" + text(vm.start_s);
+}
+void read(const std::string& t, ExtraVmSpec& vm) {
+  auto parts = vm_parts(t, 2, 3, "name:kind[:start_s]", vm.name, vm.kind);
+  if (parts.size() == 3) vm.start_s = time_value(parts[2]);
+}
+
+/// `name:kind:home[:start_s]`: a migratable batch VM.
+std::string text(const MobileVmSpec& m) {
+  return m.name + ":" + text(m.kind) + ":" + m.home + ":" + text(m.start_s);
+}
+void read(const std::string& t, MobileVmSpec& m) {
+  auto parts = vm_parts(t, 3, 4, "name:kind:home[:start_s]", m.name, m.kind);
+  m.home = parts[2];
+  if (m.home.empty()) fail("empty home host name");
+  if (parts.size() == 4) m.start_s = time_value(parts[3]);
+}
+
+/// `name:kind:arrival_s`: an incoming batch VM.
+std::string text(const AdmissionSpec& a) {
+  return a.name + ":" + text(a.kind) + ":" + text(a.arrival_s);
+}
+void read(const std::string& t, AdmissionSpec& a) {
+  auto parts = vm_parts(t, 3, 3, "name:kind:arrival_s", a.name, a.kind);
+  a.arrival_s = time_value(parts[2]);
+}
+
+/// Reading bookkeeping of one document section: the scalar keys it has
+/// set (each at most once) and the VM names its lists declared.
+struct SectionSeen {
+  std::set<std::string> keys;
+  std::set<std::string> vm_names;
+};
+
+/// Two-way walk over one section's fields, on the pattern of
+/// util::StateIO: each section declares every key once, in a walk
+/// function run with a writing or a reading FieldIO.
+///
+/// Writing, each field call appends `key = value` (quoted when the value
+/// needs it), so the walk order is the canonical order. Reading, the
+/// FieldIO holds one line's key and value, and the one field call whose
+/// key matches reads the value into the reference it was handed. The
+/// reader rejects an empty value, a second value for a scalar key of the
+/// same section (list keys repeat) and a VM name the section already
+/// declared.
+class FieldIO {
+ public:
+  /// Writing: every field call appends its line to `out`.
+  explicit FieldIO(std::string& out) : out_(&out) {}
+  /// Reading: one `key = value` line of the section `seen` tracks.
+  FieldIO(std::string key, const std::string& raw_value, SectionSeen& seen)
+      : key_(std::move(key)), seen_(&seen) {
+    if (raw_value.empty()) fail("empty value for '" + key_ + "'");
+    value_ = unquote_value(raw_value);
+  }
+
+  /// Reading: whether a field call so far had this line's key.
+  bool matched() const { return matched_; }
+
+  /// A scalar key. Reading, `check` then validates the value read.
+  template <typename T, typename Check = void (*)(const T&)>
+  void field(const char* key, T& v, Check check = [](const T&) {}) {
+    if (out_ != nullptr) {
+      emit(key, text(v));
+    } else if (claim(key, /*repeatable=*/false)) {
+      read(value_, v);
+      check(v);
+    }
+  }
+
+  /// A repeatable key: one line per item; each line read appends one.
+  template <typename T>
+  void list(const char* key, std::vector<T>& items) {
+    if (out_ != nullptr) {
+      for (const T& item : items) emit(key, text(item));
+    } else if (claim(key, /*repeatable=*/true)) {
+      T item;
+      read(value_, item);
+      if constexpr (requires { item.name; }) {
+        if (!seen_->vm_names.insert(item.name).second) {
+          fail("duplicate VM name '" + item.name + "'");
+        }
+      }
+      items.push_back(std::move(item));
+    }
+  }
+
+  /// Writes the group `fields` walks only when `emit` holds. Reading
+  /// always walks it, so its keys are accepted whatever the condition.
+  template <typename F>
+  void when(bool emit, F&& fields) {
+    if (out_ == nullptr || emit) fields();
+  }
+
+ private:
+  bool claim(const char* key, bool repeatable) {
+    if (key_ != key) return false;
+    matched_ = true;
+    if (!repeatable && !seen_->keys.insert(key_).second) {
+      fail("duplicate key '" + key_ + "'");
+    }
+    return true;
+  }
+
+  void emit(const char* key, const std::string& value) {
+    *out_ += key;
+    *out_ += " = ";
+    *out_ += maybe_quote(value);
+    *out_ += '\n';
+  }
+
+  std::string* out_ = nullptr;
+  std::string key_;
+  std::string value_;
+  SectionSeen* seen_ = nullptr;
+  bool matched_ = false;
+};
 
 }  // namespace
 
@@ -160,292 +375,155 @@ PolicyKind policy_kind_from_string(const std::string& name) {
 
 namespace {
 
-/// Accumulated parse state for one scenario body (the base document or
-/// one [host] section overlaying it). Copyable: a host section starts
-/// from a copy of the base state with a fresh duplicate-key set.
-struct ParserState {
+/// One scenario body: the base document or one [host] section overlaying
+/// it. Copyable: a host section starts from a copy of the base with a
+/// fresh key set (inherited VM names stay reserved).
+struct Body {
   Scenario scenario;
-  std::set<std::string> seen;
-  std::set<std::string> vm_names;
-  std::vector<sim::FaultSpec> fault_specs;
+  /// The fault plan as written; finish() seeds it, since the default seed
+  /// is the final `seed`.
+  std::vector<sim::FaultSpec> faults;
   std::optional<std::uint64_t> fault_seed;
+  SectionSeen seen;
 
-  void consume(std::size_t line_no, const std::string& key,
-               const std::string& value);
+  /// The walkable form of a parsed scenario, for writing.
+  static Body of(const Scenario& scenario) {
+    Body body;
+    body.scenario = scenario;
+    if (scenario.spec.faults.has_value()) {
+      body.faults = scenario.spec.faults->faults;
+      body.fault_seed = scenario.spec.faults->seed;
+    }
+    return body;
+  }
+
   /// Applies the deferred workload/fault post-processing (both depend on
   /// the final seed/duration) and returns the finished scenario.
-  Scenario finish() const;
+  Scenario finish() const {
+    Scenario out = scenario;
+    if (out.workload == "diurnal") {
+      out.spec.workload = compressed_diurnal(
+          out.spec.duration_s, out.workload_cycles, out.spec.seed);
+    }
+    if (!faults.empty()) {
+      // Fault schedules are always explicitly seeded (the lint rule
+      // enforces the same for code): fault_seed when given, else the
+      // experiment seed.
+      sim::FaultPlan plan;
+      plan.seed = fault_seed.value_or(out.spec.seed);
+      plan.faults = faults;
+      out.spec.faults = std::move(plan);
+    }
+    return out;
+  }
 };
 
-void ParserState::consume(std::size_t line_no, const std::string& key,
-                          const std::string& value) {
-    // `fault` and `vm` are list-building keys and may repeat; everything
-    // else appears at most once.
-    bool repeatable = key == "fault" || key == "vm";
-    if (!repeatable && !seen.insert(key).second) {
-      fail(line_no, "duplicate key '" + key + "'");
+/// The base and [host] section keys, in canonical order: every scalar
+/// explicit (no reliance on defaults drifting), list keys in spec order,
+/// the conditional groups only when they say something.
+void body_fields(FieldIO& io, Body& body) {
+  Scenario& s = body.scenario;
+  ExperimentSpec& spec = s.spec;
+  core::StayAwayConfig& sa = spec.stayaway;
+  core::GovernorConfig& governor = sa.governor;
+  io.field("sensitive", spec.sensitive);
+  io.field("batch", spec.batch);
+  io.field("policy", spec.policy);
+  io.field("duration_s", spec.duration_s);
+  io.field("period_s", spec.period_s);
+  io.field("tick_s", spec.tick_s);
+  io.field("batch_start_s", spec.batch_start_s);
+  io.field("sensitive_start_s", spec.sensitive_start_s);
+  io.field("seed", spec.seed);
+  io.field("workload", s.workload, [](const std::string& w) {
+    if (w != "constant" && w != "diurnal") {
+      fail("expected 'constant' or 'diurnal', got '" + w + "'");
     }
-
-    auto& spec = scenario.spec;
-    try {
-      if (key == "sensitive") {
-        spec.sensitive = sensitive_kind_from_string(value);
-      } else if (key == "batch") {
-        spec.batch = batch_kind_from_string(value);
-      } else if (key == "policy") {
-        spec.policy = policy_kind_from_string(value);
-      } else if (key == "duration_s") {
-        spec.duration_s = parse_double(line_no, value);
-      } else if (key == "period_s") {
-        spec.period_s = parse_double(line_no, value);
-      } else if (key == "tick_s") {
-        spec.tick_s = parse_double(line_no, value);
-      } else if (key == "batch_start_s") {
-        spec.batch_start_s = parse_double(line_no, value);
-      } else if (key == "sensitive_start_s") {
-        spec.sensitive_start_s = parse_double(line_no, value);
-      } else if (key == "seed") {
-        spec.seed = parse_count_at(line_no, value, UINT64_MAX);
-      } else if (key == "workload") {
-        if (value != "constant" && value != "diurnal") {
-          fail(line_no, "workload must be 'constant' or 'diurnal'");
-        }
-        scenario.workload = value;
-      } else if (key == "workload_cycles") {
-        scenario.workload_cycles = parse_double(line_no, value);
-      } else if (key == "dedup_epsilon") {
-        spec.stayaway.dedup_epsilon = parse_double(line_no, value);
-      } else if (key == "prediction_samples") {
-        spec.stayaway.prediction_samples = parse_count_at(line_no, value);
-      } else if (key == "beta_initial") {
-        spec.stayaway.governor.beta_initial = parse_double(line_no, value);
-      } else if (key == "beta_increment") {
-        spec.stayaway.governor.beta_increment = parse_double(line_no, value);
-      } else if (key == "beta_max") {
-        spec.stayaway.governor.beta_max = parse_double(line_no, value);
-      } else if (key == "resume_grace_s") {
-        spec.stayaway.governor.resume_grace_s = parse_double(line_no, value);
-      } else if (key == "starvation_patience_s") {
-        spec.stayaway.governor.starvation_patience_s =
-            parse_double(line_no, value);
-      } else if (key == "random_resume_probability") {
-        spec.stayaway.governor.random_resume_probability =
-            parse_double(line_no, value);
-      } else if (key == "actions_enabled") {
-        spec.stayaway.actions_enabled = parse_bool(line_no, value);
-      } else if (key == "allow_sensitive_demotion") {
-        spec.stayaway.allow_sensitive_demotion = parse_bool(line_no, value);
-      } else if (key == "aggregate_batch") {
-        spec.stayaway.sampler.aggregate_batch = parse_bool(line_no, value);
-      } else if (key == "noise_fraction") {
-        spec.stayaway.sampler.noise_fraction = parse_double(line_no, value);
-      } else if (key == "metrics") {
-        // Comma-separated sampler metric set, e.g. `metrics = cpu,mem,io`.
-        std::vector<monitor::MetricKind> metrics;
-        std::string rest = value;
-        while (!rest.empty()) {
-          auto comma = rest.find(',');
-          std::string item = trim(rest.substr(0, comma));
-          rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-          if (item.empty()) fail(line_no, "empty metric name in list");
-          metrics.push_back(monitor::metric_kind_from_string(item));
-        }
-        if (metrics.empty()) fail(line_no, "metric list must not be empty");
-        spec.stayaway.sampler.metrics = std::move(metrics);
-      } else if (key == "ingest_source") {
-        // Streaming ingestion (DESIGN.md §15): sync is the default
-        // one-sample-per-period path, ring drains a streamed trace.
-        if (value == "sync") {
-          spec.stayaway.ingest.source = core::IngestSource::Synchronous;
-        } else if (value == "ring") {
-          spec.stayaway.ingest.source = core::IngestSource::Ring;
-        } else {
-          fail(line_no, "ingest_source must be 'sync' or 'ring'");
-        }
-      } else if (key == "ingest_rate_hz") {
-        spec.stayaway.ingest.rate_hz = parse_double(line_no, value);
-      } else if (key == "ingest_ring_capacity") {
-        spec.stayaway.ingest.ring_capacity = parse_count_at(line_no, value);
-      } else if (key == "ingest_lookahead_s") {
-        spec.stayaway.ingest.lookahead_s = parse_double(line_no, value);
-      } else if (key == "ingest_burst_rate_hz") {
-        spec.stayaway.ingest.burst_rate_hz = parse_double(line_no, value);
-      } else if (key == "ingest_burst_start_s") {
-        spec.stayaway.ingest.burst_start_s = parse_double(line_no, value);
-      } else if (key == "ingest_burst_end_s") {
-        spec.stayaway.ingest.burst_end_s = parse_double(line_no, value);
-      } else if (key == "vm") {
-        // `vm = name:kind[:start_s]` — an extra named batch VM.
-        auto c1 = value.find(':');
-        if (c1 == std::string::npos) {
-          fail(line_no, "expected 'name:kind[:start_s]', got '" + value + "'");
-        }
-        auto c2 = value.find(':', c1 + 1);
-        ExtraVmSpec extra;
-        extra.name = trim(value.substr(0, c1));
-        std::string kind =
-            trim(value.substr(c1 + 1, c2 == std::string::npos
-                                          ? std::string::npos
-                                          : c2 - c1 - 1));
-        if (extra.name.empty()) fail(line_no, "empty VM name");
-        if (kind.empty()) fail(line_no, "empty VM kind");
-        if (!vm_names.insert(extra.name).second) {
-          fail(line_no, "duplicate VM name '" + extra.name + "'");
-        }
-        extra.kind = batch_kind_from_string(kind);
-        if (extra.kind == BatchKind::None) {
-          fail(line_no, "extra VM kind must not be 'none'");
-        }
-        if (c2 != std::string::npos) {
-          extra.start_s = parse_double(line_no, trim(value.substr(c2 + 1)));
-          if (extra.start_s < 0.0) fail(line_no, "start_s must be >= 0");
-        }
-        spec.extra_batch.push_back(std::move(extra));
-      } else if (key == "fault") {
-        fault_specs.push_back(sim::parse_fault_spec(value, line_no));
-      } else if (key == "fault_seed") {
-        fault_seed = parse_count_at(line_no, value, UINT64_MAX);
-      } else if (key == "compare") {
-        scenario.compare = parse_bool(line_no, value);
-      } else if (key == "template_in") {
-        scenario.template_in = value;
-      } else if (key == "template_out") {
-        scenario.template_out = value;
-      } else if (key == "series_csv") {
-        scenario.series_csv = value;
-      } else {
-        fail(line_no, "unknown key '" + key + "'");
-      }
-    } catch (const PreconditionError& e) {
-      // Re-tag enum-lookup errors with the line number.
-      std::string what = e.what();
-      if (what.rfind("scenario line", 0) == 0) throw;
-      fail(line_no, what);
+  });
+  io.field("workload_cycles", s.workload_cycles, [](double cycles) {
+    if (!std::isfinite(cycles) || cycles <= 0.0) {
+      fail("the cycle count must be finite and positive");
     }
+  });
+  io.field("dedup_epsilon", sa.dedup_epsilon);
+  io.field("prediction_samples", sa.prediction_samples);
+  io.field("beta_initial", governor.beta_initial);
+  io.field("beta_increment", governor.beta_increment);
+  io.field("beta_max", governor.beta_max);
+  io.field("resume_grace_s", governor.resume_grace_s);
+  io.field("starvation_patience_s", governor.starvation_patience_s);
+  io.field("random_resume_probability", governor.random_resume_probability);
+  io.field("actions_enabled", sa.actions_enabled);
+  io.field("allow_sensitive_demotion", sa.allow_sensitive_demotion);
+  io.field("aggregate_batch", sa.sampler.aggregate_batch);
+  io.field("noise_fraction", sa.sampler.noise_fraction);
+  io.field("metrics", sa.sampler.metrics);
+  // Streaming ingestion (DESIGN.md §15), written only when it differs
+  // from the default: historical scenarios (and the scenario text
+  // embedded in committed run-logs) keep their exact canonical bytes.
+  core::IngestConfig& ingest = sa.ingest;
+  io.when(ingest != core::IngestConfig{}, [&] {
+    io.field("ingest_source", ingest.source);
+    io.field("ingest_rate_hz", ingest.rate_hz);
+    io.field("ingest_ring_capacity", ingest.ring_capacity);
+    io.field("ingest_lookahead_s", ingest.lookahead_s);
+    io.field("ingest_burst_rate_hz", ingest.burst_rate_hz);
+    io.field("ingest_burst_start_s", ingest.burst_start_s);
+    io.field("ingest_burst_end_s", ingest.burst_end_s);
+  });
+  io.list("vm", spec.extra_batch);
+  io.when(!body.faults.empty(), [&] {
+    io.field("fault_seed", body.fault_seed);
+    io.list("fault", body.faults);
+  });
+  io.when(s.compare, [&] { io.field("compare", s.compare); });
+  io.when(s.template_in.has_value(),
+          [&] { io.field("template_in", s.template_in); });
+  io.when(s.template_out.has_value(),
+          [&] { io.field("template_out", s.template_out); });
+  io.when(s.series_csv.has_value(),
+          [&] { io.field("series_csv", s.series_csv); });
 }
 
-Scenario ParserState::finish() const {
-  Scenario out = scenario;
-  if (out.workload == "diurnal") {
-    out.spec.workload = compressed_diurnal(out.spec.duration_s,
-                                           out.workload_cycles, out.spec.seed);
-  }
-  if (!fault_specs.empty()) {
-    // Fault schedules are always explicitly seeded (the lint rule enforces
-    // the same for code): fault_seed when given, else the experiment seed.
-    sim::FaultPlan plan;
-    plan.seed = fault_seed.value_or(out.spec.seed);
-    plan.faults = fault_specs;
-    out.spec.faults = std::move(plan);
-  }
-  return out;
+/// The [cluster] section (DESIGN.md §18): every coordinator knob, then
+/// the mobile and admitted VMs in spec order. ClusterSpec::restore is
+/// runtime-only state and never written.
+void cluster_fields(FieldIO& io, ClusterSpec& cluster) {
+  core::cluster::ClusterConfig& config = cluster.config;
+  io.field("migrate", config.migrate);
+  io.field("admit_margin", config.admit_margin);
+  io.field("admit_patience", config.admit_patience);
+  io.field("migration_cooldown", config.migration_cooldown);
+  io.field("admit_footprint", config.admit_footprint);
+  io.list("mobile", cluster.mobile);
+  io.list("admit", cluster.admissions);
 }
 
-/// Splits a colon-separated compound value, trimming each part.
-std::vector<std::string> split_colons(const std::string& value) {
-  std::vector<std::string> parts;
-  std::size_t pos = 0;
-  while (true) {
-    auto c = value.find(':', pos);
-    parts.push_back(trim(
-        value.substr(pos, c == std::string::npos ? std::string::npos
-                                                 : c - pos)));
-    if (c == std::string::npos) break;
-    pos = c + 1;
-  }
-  return parts;
+/// The fleet-level keys: set before any section, written first.
+void fleet_fields(FieldIO& io, std::size_t& workers) {
+  io.field("workers", workers, [](std::size_t n) {
+    if (n < 1) fail("the worker count must be >= 1");
+  });
 }
 
-/// One `[cluster]` section key (DESIGN.md §18): coordinator knobs plus
-/// the repeatable mobile/admit VM lists.
-void consume_cluster_key(std::size_t line_no, const std::string& key,
-                         const std::string& value, ClusterSpec& cluster,
-                         std::set<std::string>& seen,
-                         std::set<std::string>& vm_names) {
-  bool repeatable = key == "mobile" || key == "admit";
-  if (!repeatable && !seen.insert(key).second) {
-    fail(line_no, "duplicate key '" + key + "'");
-  }
-  if (key == "migrate") {
-    cluster.config.migrate = parse_bool(line_no, value);
-  } else if (key == "admit_margin") {
-    cluster.config.admit_margin = parse_double(line_no, value);
-  } else if (key == "admit_patience") {
-    cluster.config.admit_patience = parse_count_at(line_no, value);
-  } else if (key == "migration_cooldown") {
-    cluster.config.migration_cooldown = parse_count_at(line_no, value);
-  } else if (key == "admit_footprint") {
-    cluster.config.admit_footprint = parse_double(line_no, value);
-  } else if (key == "mobile") {
-    // `mobile = name:kind:home[:start_s]` — a migratable batch VM.
-    std::vector<std::string> parts = split_colons(value);
-    if (parts.size() < 3 || parts.size() > 4) {
-      fail(line_no, "expected 'name:kind:home[:start_s]', got '" + value + "'");
-    }
-    MobileVmSpec m;
-    m.name = parts[0];
-    if (m.name.empty()) fail(line_no, "empty VM name");
-    if (!vm_names.insert(m.name).second) {
-      fail(line_no, "duplicate cluster VM name '" + m.name + "'");
-    }
-    try {
-      m.kind = batch_kind_from_string(parts[1]);
-    } catch (const PreconditionError& e) {
-      fail(line_no, e.what());
-    }
-    if (m.kind == BatchKind::None) {
-      fail(line_no, "mobile VM kind must not be 'none'");
-    }
-    m.home = parts[2];
-    if (m.home.empty()) fail(line_no, "empty home host name");
-    if (parts.size() == 4) {
-      m.start_s = parse_double(line_no, parts[3]);
-      if (m.start_s < 0.0) fail(line_no, "start_s must be >= 0");
-    }
-    cluster.mobile.push_back(std::move(m));
-  } else if (key == "admit") {
-    // `admit = name:kind:arrival_s` — an incoming batch VM.
-    std::vector<std::string> parts = split_colons(value);
-    if (parts.size() != 3) {
-      fail(line_no, "expected 'name:kind:arrival_s', got '" + value + "'");
-    }
-    AdmissionSpec a;
-    a.name = parts[0];
-    if (a.name.empty()) fail(line_no, "empty VM name");
-    if (!vm_names.insert(a.name).second) {
-      fail(line_no, "duplicate cluster VM name '" + a.name + "'");
-    }
-    try {
-      a.kind = batch_kind_from_string(parts[1]);
-    } catch (const PreconditionError& e) {
-      fail(line_no, e.what());
-    }
-    if (a.kind == BatchKind::None) {
-      fail(line_no, "admission VM kind must not be 'none'");
-    }
-    a.arrival_s = parse_double(line_no, parts[2]);
-    if (a.arrival_s < 0.0) fail(line_no, "arrival_s must be >= 0");
-    cluster.admissions.push_back(std::move(a));
-  } else {
-    fail(line_no, "unknown [cluster] key '" + key + "'");
-  }
-}
+constexpr const char* kClusterSection = "cluster";
 
-/// Parses a `[host "name"]` section header (the line arrives
-/// comment-stripped and trimmed, starting with '[').
-std::string parse_host_header(std::size_t line_no, const std::string& line) {
-  if (line.back() != ']') fail(line_no, "unterminated section header");
-  std::string inner = trim(line.substr(1, line.size() - 2));
-  if (inner.rfind("host", 0) != 0) {
-    fail(line_no, "unknown section '" + inner +
-                      "' (expected [host \"name\"] or [cluster])");
+/// The name in a `host "name"` section header (brackets stripped). Names
+/// are written back inside quotes, so they may not hold one.
+std::string host_name(const std::string& header) {
+  if (header.rfind("host", 0) != 0) {
+    fail("unknown section '" + header +
+         "' (expected [host \"name\"] or [cluster])");
   }
-  std::string rest = trim(inner.substr(4));
+  std::string rest = trim(header.substr(4));
   if (rest.size() < 2 || rest.front() != '"' || rest.back() != '"') {
-    fail(line_no, "host name must be quoted: [host \"name\"]");
+    fail("host name must be quoted: [host \"name\"]");
   }
   std::string name = rest.substr(1, rest.size() - 2);
-  if (name.empty()) fail(line_no, "host name must not be empty");
+  if (name.empty()) fail("host name must not be empty");
+  if (name.find('"') != std::string::npos) {
+    fail("host name must not contain a quote");
+  }
   return name;
 }
 
@@ -453,248 +531,123 @@ std::string parse_host_header(std::size_t line_no, const std::string& line) {
 
 FleetScenario parse_fleet_scenario(std::istream& in) {
   FleetScenario fleet;
-  ParserState base;
-  // Host states overlay a snapshot of the base state taken at their
-  // section header; `current` indexes into hosts, npos = still in base.
-  std::vector<std::pair<std::string, ParserState>> hosts;
+  Body base;
+  // Host bodies overlay a snapshot of the base taken at their section
+  // header; the last one is the current section.
+  std::vector<std::pair<std::string, Body>> hosts;
   std::set<std::string> host_names;
-  constexpr std::size_t kBase = static_cast<std::size_t>(-1);
-  constexpr std::size_t kCluster = static_cast<std::size_t>(-2);
-  std::size_t current = kBase;
-  bool seen_workers = false;
-  std::set<std::string> cluster_seen;
-  std::set<std::string> cluster_vm_names;
+  enum class Section { Base, Host, Cluster } section = Section::Base;
+  SectionSeen cluster_seen;
 
   std::string raw;
   std::size_t line_no = 0;
   while (std::getline(in, raw)) {
     ++line_no;
-    std::string line = trim(strip_comment(raw));
-    // getline leaving eofbit set means the stream ran dry before the
-    // delimiter: the final line lost its newline. A scenario truncated
-    // mid-line (half a `key = value`) must not parse as a shorter but
-    // valid scenario; an unterminated blank or comment line is harmless.
-    if (in.eof() && !line.empty()) {
-      fail(line_no, "truncated scenario: final line '" + line +
-                        "' is missing its newline");
-    }
-    if (line.empty()) continue;
+    try {
+      std::string line = trim(strip_comment(raw));
+      // getline leaving eofbit set means the stream ran dry before the
+      // delimiter: the final line lost its newline. A scenario truncated
+      // mid-line (half a `key = value`) must not parse as a shorter but
+      // valid scenario; an unterminated blank or comment line is harmless.
+      if (in.eof() && !line.empty()) {
+        fail("truncated scenario: final line '" + line +
+             "' is missing its newline");
+      }
+      if (line.empty()) continue;
 
-    if (line.front() == '[') {
-      if (line.back() == ']' &&
-          trim(line.substr(1, line.size() - 2)) == "cluster") {
-        if (fleet.cluster.has_value()) {
-          fail(line_no, "duplicate [cluster] section");
-        }
-        fleet.cluster.emplace();
+      if (line.front() == '[') {
+        if (line.back() != ']') fail("unterminated section header");
+        std::string header = trim(line.substr(1, line.size() - 2));
         fleet.fleet_syntax = true;
-        current = kCluster;
+        if (header == kClusterSection) {
+          if (fleet.cluster.has_value()) fail("duplicate [cluster] section");
+          fleet.cluster.emplace();
+          section = Section::Cluster;
+          continue;
+        }
+        std::string name = host_name(header);
+        if (!host_names.insert(name).second) {
+          fail("duplicate host section '" + name + "'");
+        }
+        Body host = base;
+        host.seen.keys.clear();
+        hosts.emplace_back(std::move(name), std::move(host));
+        section = Section::Host;
         continue;
       }
-      std::string name = parse_host_header(line_no, line);
-      if (!host_names.insert(name).second) {
-        fail(line_no, "duplicate host section '" + name + "'");
+
+      auto eq = line.find('=');
+      if (eq == std::string::npos) fail("expected 'key = value'");
+      std::string key = trim(line.substr(0, eq));
+      if (key.empty()) fail("empty key");
+      Body& body = section == Section::Host ? hosts.back().second : base;
+      FieldIO io(key, trim(line.substr(eq + 1)),
+                 section == Section::Cluster ? cluster_seen : body.seen);
+      fleet_fields(io, fleet.workers);
+      if (io.matched()) {
+        if (section != Section::Base) {
+          fail("'" + key + "' is a fleet-level key; set it before any [host] " +
+               "or [cluster] section");
+        }
+        fleet.fleet_syntax = true;
+        continue;
       }
-      fleet.fleet_syntax = true;
-      ParserState host = base;
-      // Scalar base keys may be overridden once per section; inherited
-      // VMs keep their names reserved so overlays cannot collide.
-      host.seen.clear();
-      hosts.emplace_back(std::move(name), std::move(host));
-      current = hosts.size() - 1;
-      continue;
-    }
-
-    auto eq = line.find('=');
-    if (eq == std::string::npos) fail(line_no, "expected 'key = value'");
-    std::string key = trim(line.substr(0, eq));
-    std::string value = trim(line.substr(eq + 1));
-    if (key.empty()) fail(line_no, "empty key");
-    if (value.empty()) fail(line_no, "empty value for '" + key + "'");
-    value = unquote_value(line_no, value);
-
-    if (key == "workers") {
-      if (current != kBase) {
-        fail(line_no,
-             "'workers' is a fleet-level key; set it before any [host] "
-             "section");
+      if (section == Section::Cluster) {
+        cluster_fields(io, *fleet.cluster);
+      } else {
+        body_fields(io, body);
       }
-      if (seen_workers) fail(line_no, "duplicate key 'workers'");
-      seen_workers = true;
-      fleet.fleet_syntax = true;
-      fleet.workers = parse_count_at(line_no, value);
-      if (fleet.workers < 1) fail(line_no, "workers must be >= 1");
-      continue;
+      if (!io.matched()) {
+        fail((section == Section::Cluster ? "unknown [cluster] key '"
+                                          : "unknown key '") +
+             key + "'");
+      }
+    } catch (const PreconditionError& e) {
+      fail("scenario line " + std::to_string(line_no) + ": " + e.what());
     }
-
-    if (current == kCluster) {
-      consume_cluster_key(line_no, key, value, *fleet.cluster, cluster_seen,
-                          cluster_vm_names);
-      continue;
-    }
-    ParserState& state = current == kBase ? base : hosts[current].second;
-    state.consume(line_no, key, value);
   }
 
   if (fleet.cluster.has_value()) {
     if (hosts.empty()) {
-      throw PreconditionError(
-          "a [cluster] section requires explicit [host] sections");
+      fail("a [cluster] section requires explicit [host] sections");
     }
     for (const MobileVmSpec& m : fleet.cluster->mobile) {
       if (host_names.find(m.home) == host_names.end()) {
-        throw PreconditionError("mobile VM '" + m.name +
-                                "' names an unknown home host: " + m.home);
+        fail("mobile VM '" + m.name + "' names an unknown home host: " +
+             m.home);
       }
     }
   }
   fleet.base = base.finish();
   fleet.hosts.reserve(hosts.size());
-  for (const auto& [name, state] : hosts) {
-    fleet.hosts.emplace_back(name, state.finish());
+  for (const auto& [name, body] : hosts) {
+    fleet.hosts.emplace_back(name, body.finish());
   }
   return fleet;
 }
 
-Scenario parse_scenario(std::istream& in) {
-  FleetScenario fleet = parse_fleet_scenario(in);
-  if (fleet.fleet_syntax) {
-    throw PreconditionError(
-        "multi-host scenario ([host] sections / workers key): use "
-        "parse_fleet_scenario");
-  }
-  return fleet.base;
-}
-
-namespace {
-
-/// One scenario body in canonical key order: every scalar the parser
-/// accepts is written explicitly (no reliance on defaults drifting),
-/// list keys follow in spec order, optional paths only when set.
-void serialize_body(const Scenario& scenario, std::string& out) {
-  const ExperimentSpec& spec = scenario.spec;
-  auto kv = [&out](const char* key, const std::string& value) {
-    out += key;
-    out += " = ";
-    out += value;
-    out += '\n';
-  };
-  auto kvd = [&kv](const char* key, double value) {
-    kv(key, format_double_exact(value));
-  };
-  auto kvb = [&kv](const char* key, bool value) {
-    kv(key, value ? "true" : "false");
-  };
-  kv("sensitive", to_string(spec.sensitive));
-  kv("batch", to_string(spec.batch));
-  kv("policy", to_string(spec.policy));
-  kvd("duration_s", spec.duration_s);
-  kvd("period_s", spec.period_s);
-  kvd("tick_s", spec.tick_s);
-  kvd("batch_start_s", spec.batch_start_s);
-  kvd("sensitive_start_s", spec.sensitive_start_s);
-  kv("seed", std::to_string(spec.seed));
-  kv("workload", scenario.workload);
-  kvd("workload_cycles", scenario.workload_cycles);
-  kvd("dedup_epsilon", spec.stayaway.dedup_epsilon);
-  kv("prediction_samples", std::to_string(spec.stayaway.prediction_samples));
-  kvd("beta_initial", spec.stayaway.governor.beta_initial);
-  kvd("beta_increment", spec.stayaway.governor.beta_increment);
-  kvd("beta_max", spec.stayaway.governor.beta_max);
-  kvd("resume_grace_s", spec.stayaway.governor.resume_grace_s);
-  kvd("starvation_patience_s", spec.stayaway.governor.starvation_patience_s);
-  kvd("random_resume_probability",
-      spec.stayaway.governor.random_resume_probability);
-  kvb("actions_enabled", spec.stayaway.actions_enabled);
-  kvb("allow_sensitive_demotion", spec.stayaway.allow_sensitive_demotion);
-  kvb("aggregate_batch", spec.stayaway.sampler.aggregate_batch);
-  kvd("noise_fraction", spec.stayaway.sampler.noise_fraction);
-  std::vector<std::string> metric_names;
-  metric_names.reserve(spec.stayaway.sampler.metrics.size());
-  for (monitor::MetricKind m : spec.stayaway.sampler.metrics) {
-    metric_names.emplace_back(monitor::to_string(m));
-  }
-  kv("metrics", join(metric_names, ","));
-  if (spec.stayaway.ingest != core::IngestConfig{}) {
-    // The ingest block is emitted only when it differs from the default:
-    // historical scenarios (and the scenario text embedded in committed
-    // run-logs) keep their exact canonical bytes.
-    kv("ingest_source", spec.stayaway.ingest.source == core::IngestSource::Ring
-                            ? "ring"
-                            : "sync");
-    kvd("ingest_rate_hz", spec.stayaway.ingest.rate_hz);
-    kv("ingest_ring_capacity",
-       std::to_string(spec.stayaway.ingest.ring_capacity));
-    kvd("ingest_lookahead_s", spec.stayaway.ingest.lookahead_s);
-    kvd("ingest_burst_rate_hz", spec.stayaway.ingest.burst_rate_hz);
-    kvd("ingest_burst_start_s", spec.stayaway.ingest.burst_start_s);
-    kvd("ingest_burst_end_s", spec.stayaway.ingest.burst_end_s);
-  }
-  for (const ExtraVmSpec& vm : spec.extra_batch) {
-    kv("vm", maybe_quote(vm.name + ":" + std::string(to_string(vm.kind)) +
-                         ":" + format_double_exact(vm.start_s)));
-  }
-  if (spec.faults.has_value() && !spec.faults->faults.empty()) {
-    kv("fault_seed", std::to_string(spec.faults->seed));
-    for (const sim::FaultSpec& f : spec.faults->faults) {
-      kv("fault", sim::to_spec_string(f));
-    }
-  }
-  if (scenario.compare) kvb("compare", true);
-  if (scenario.template_in.has_value()) {
-    kv("template_in", maybe_quote(*scenario.template_in));
-  }
-  if (scenario.template_out.has_value()) {
-    kv("template_out", maybe_quote(*scenario.template_out));
-  }
-  if (scenario.series_csv.has_value()) {
-    kv("series_csv", maybe_quote(*scenario.series_csv));
-  }
-}
-
-}  // namespace
-
-std::string serialize_scenario(const Scenario& scenario) {
-  std::string out;
-  serialize_body(scenario, out);
-  return out;
-}
-
 std::string serialize_fleet_scenario(const FleetScenario& fleet) {
-  if (!fleet.fleet_syntax) return serialize_scenario(fleet.base);
-  std::string out = "workers = " + std::to_string(fleet.workers) + "\n";
+  std::string out;
+  FieldIO io(out);
+  auto write_body = [&io](const Scenario& scenario) {
+    Body body = Body::of(scenario);
+    body_fields(io, body);
+  };
+  if (!fleet.fleet_syntax) {
+    write_body(fleet.base);
+    return out;
+  }
+  std::size_t workers = fleet.workers;
+  fleet_fields(io, workers);
   if (fleet.cluster.has_value()) {
-    // Every knob explicit, VM lists in spec order; ClusterSpec::restore
-    // is runtime-only state and never serialized.
-    const ClusterSpec& c = *fleet.cluster;
-    out += "[cluster]\n";
-    out += std::string("migrate = ") +
-           (c.config.migrate ? "true" : "false") + "\n";
-    out += "admit_margin = " + format_double_exact(c.config.admit_margin) +
-           "\n";
-    out += "admit_patience = " + std::to_string(c.config.admit_patience) +
-           "\n";
-    out += "migration_cooldown = " +
-           std::to_string(c.config.migration_cooldown) + "\n";
-    out += "admit_footprint = " +
-           format_double_exact(c.config.admit_footprint) + "\n";
-    for (const MobileVmSpec& m : c.mobile) {
-      out += "mobile = " +
-             maybe_quote(m.name + ":" + std::string(to_string(m.kind)) + ":" +
-                         m.home + ":" + format_double_exact(m.start_s)) +
-             "\n";
-    }
-    for (const AdmissionSpec& a : c.admissions) {
-      out += "admit = " +
-             maybe_quote(a.name + ":" + std::string(to_string(a.kind)) + ":" +
-                         format_double_exact(a.arrival_s)) +
-             "\n";
-    }
+    out += std::string("[") + kClusterSection + "]\n";
+    ClusterSpec cluster = *fleet.cluster;
+    cluster_fields(io, cluster);
   }
   if (fleet.hosts.empty()) {
     // Degenerate fleet syntax (workers key only): the base body is the
     // single host.
-    serialize_body(fleet.base, out);
+    write_body(fleet.base);
     return out;
   }
   // Hosts are emitted fully expanded with no shared base body, so the
@@ -705,7 +658,7 @@ std::string serialize_fleet_scenario(const FleetScenario& fleet) {
                    name.find('\n') == std::string::npos,
                "host names with quotes or newlines cannot be serialized");
     out += "[host \"" + name + "\"]\n";
-    serialize_body(scenario, out);
+    write_body(scenario);
   }
   return out;
 }

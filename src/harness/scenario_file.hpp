@@ -1,6 +1,10 @@
 // Scenario files: a small key = value format describing an experiment,
 // consumed by the stayaway_sim command-line tool (tools/). Lets a user
-// run co-location studies without writing C++.
+// run co-location studies without writing C++. Every key is declared
+// once, in a two-way field walk per section (scenario_file.cpp: the
+// fleet-level `workers`, the base/[host] body, [cluster]); the same walk
+// reads a line and writes the canonical form, so reader and writer
+// cannot drift apart.
 //
 //   # VLC protected from the Twitter analytics job
 //   sensitive   = vlc-stream
@@ -97,36 +101,28 @@ struct FleetScenario {
   bool fleet_syntax = false;
 };
 
-/// Parses a scenario document. Unknown keys, malformed lines, invalid
-/// values, duplicate VM names and unknown fault/metric kinds throw
-/// PreconditionError naming the offending line. Empty lines and '#'
-/// comments are ignored ('#' inside a quoted value is literal); keys may
-/// appear at most once, except the list-building `fault` and `vm` keys.
-/// Values may be double-quoted ("a # b") with \\ \" \n \t \r escapes —
-/// required when a value contains '#', a quote, or significant leading/
-/// trailing whitespace. Rejects fleet syntax — use parse_fleet_scenario
-/// for documents with [host] sections.
-Scenario parse_scenario(std::istream& in);
-
-/// Parses a scenario document that may contain [host "name"] sections
-/// and the `workers` key (see the header comment for the syntax). Plain
-/// single-host documents parse with hosts empty and base identical to
-/// parse_scenario's result. Section names must be unique and non-empty;
-/// per-section keys may override any base key once.
+/// Parses a scenario document, plain or fleet (see the header comment
+/// for the syntax). Unknown keys, malformed lines, invalid values,
+/// duplicate VM names and unknown fault/metric kinds throw
+/// PreconditionError naming the offending line once. Empty lines and '#'
+/// comments are ignored ('#' inside a quoted value is literal); a key may
+/// appear at most once per section, except the list-building `vm`,
+/// `fault`, `mobile` and `admit` keys. Values may be double-quoted
+/// ("a # b") with \\ \" \n \t \r escapes — required when a value
+/// contains '#', a quote, or significant leading/trailing whitespace.
+/// Section names must be unique, non-empty and free of quotes; plain
+/// documents parse with hosts empty and fleet_syntax false.
 FleetScenario parse_fleet_scenario(std::istream& in);
 
-/// Canonical scenario-document form of a parsed scenario: every spec
-/// scalar written explicitly with exact-round-trip numbers, values
-/// quoted when they need it. parse_scenario(serialize_scenario(s))
-/// reproduces s, and serialize ∘ parse is a fixed point (pinned in
-/// tests/test_scenario_file.cpp). The run-log recorder (DESIGN.md §14)
-/// embeds scenarios through this.
-std::string serialize_scenario(const Scenario& scenario);
-
-/// Fleet documents serialize with the workers key first and every host
-/// as a fully expanded [host "name"] section (no inherited base keys —
-/// overlay ordering cannot change what a section means). Plain
-/// documents serialize exactly like serialize_scenario.
+/// Canonical scenario-document form: every spec scalar written
+/// explicitly with exact-round-trip numbers, values quoted when they need
+/// it, keys in the order the field walks declare them. Fleet documents
+/// start with the workers key and write every host as a fully expanded
+/// [host "name"] section (no inherited base keys — overlay ordering
+/// cannot change what a section means); a document without fleet syntax
+/// is its base body alone. serialize ∘ parse is a fixed point, and the
+/// bytes are pinned (ScenarioGolden in tests/test_scenario_file.cpp): the
+/// run-log recorder (DESIGN.md §14) embeds scenarios through this.
 std::string serialize_fleet_scenario(const FleetScenario& fleet);
 
 }  // namespace stayaway::harness

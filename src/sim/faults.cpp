@@ -45,30 +45,29 @@ bool is_sensor_fault(FaultKind kind) {
   return false;
 }
 
-[[noreturn]] void fail(std::size_t line, const std::string& message) {
-  throw PreconditionError("fault plan line " + std::to_string(line) + ": " +
-                          message);
+[[noreturn]] void fail(const std::string& message) {
+  throw PreconditionError(message);
 }
 
-double parse_double(std::size_t line, const std::string& value) {
+double parse_double(const std::string& value) {
   double v = 0.0;
   if (!stayaway::parse_double(value, v)) {
-    fail(line, "expected a number, got '" + value + "'");
+    fail("expected a number, got '" + value + "'");
   }
   return v;
 }
 
-void validate_spec(const FaultSpec& spec, std::size_t line_no) {
+void validate_spec(const FaultSpec& spec) {
   if (!(spec.probability >= 0.0 && spec.probability <= 1.0)) {
-    fail(line_no, "p must be in [0,1]");
+    fail("p must be in [0,1]");
   }
   if (!(spec.end_s > spec.start_s)) {
-    fail(line_no, "fault window must satisfy end > start");
+    fail("fault window must satisfy end > start");
   }
   if (!std::isfinite(spec.magnitude) || spec.magnitude <= 0.0) {
-    fail(line_no, "mag must be finite and positive");
+    fail("mag must be finite and positive");
   }
-  if (spec.dimension < -1) fail(line_no, "dim must be >= 0, or -1 for all");
+  if (spec.dimension < -1) fail("dim must be >= 0, or -1 for all");
 }
 
 }  // namespace
@@ -133,36 +132,31 @@ FaultKind fault_kind_from_string(const std::string& name) {
   throw PreconditionError("unknown fault kind: " + name);
 }
 
-FaultSpec parse_fault_spec(const std::string& text, std::size_t line_no) {
+FaultSpec parse_fault_spec(const std::string& text) {
   std::istringstream in(text);
   std::string kind_name;
   in >> kind_name;
-  if (kind_name.empty()) fail(line_no, "empty fault specification");
+  if (kind_name.empty()) fail("empty fault specification");
 
   FaultSpec spec;
-  try {
-    spec.kind = fault_kind_from_string(kind_name);
-  } catch (const PreconditionError& e) {
-    fail(line_no, e.what());
-  }
-
+  spec.kind = fault_kind_from_string(kind_name);
   std::string token;
   while (in >> token) {
     auto eq = token.find('=');
     if (eq == std::string::npos) {
-      fail(line_no, "expected key=value, got '" + token + "'");
+      fail("expected key=value, got '" + token + "'");
     }
     std::string key = token.substr(0, eq);
     std::string value = token.substr(eq + 1);
-    if (value.empty()) fail(line_no, "empty value for '" + key + "'");
+    if (value.empty()) fail("empty value for '" + key + "'");
     if (key == "start") {
-      spec.start_s = parse_double(line_no, value);
+      spec.start_s = parse_double(value);
     } else if (key == "end") {
-      spec.end_s = parse_double(line_no, value);
+      spec.end_s = parse_double(value);
     } else if (key == "p") {
-      spec.probability = parse_double(line_no, value);
+      spec.probability = parse_double(value);
     } else if (key == "mag") {
-      spec.magnitude = parse_double(line_no, value);
+      spec.magnitude = parse_double(value);
     } else if (key == "dim") {
       // -1 selects every dimension; anything else is a 0-based index.
       std::uint64_t dim = 0;
@@ -171,14 +165,13 @@ FaultSpec parse_fault_spec(const std::string& text, std::size_t line_no) {
       } else if (parse_count(value, INT_MAX, dim)) {
         spec.dimension = static_cast<int>(dim);
       } else {
-        fail(line_no, "dim must be >= 0, or -1 for all; got '" + value +
-                          "'");
+        fail("dim must be >= 0, or -1 for all; got '" + value + "'");
       }
     } else {
-      fail(line_no, "unknown fault key '" + key + "'");
+      fail("unknown fault key '" + key + "'");
     }
   }
-  validate_spec(spec, line_no);
+  validate_spec(spec);
   return spec;
 }
 
@@ -197,8 +190,13 @@ std::string to_spec_string(const FaultSpec& spec) {
 FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(std::move(plan)), rng_(plan_.seed) {
   for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
-    // Re-validate programmatically built plans with the parser's rules.
-    validate_spec(plan_.faults[i], i + 1);
+    // Re-validate programmatically built plans with the parser's rules,
+    // naming the offending entry.
+    try {
+      validate_spec(plan_.faults[i]);
+    } catch (const PreconditionError& e) {
+      fail("fault " + std::to_string(i + 1) + ": " + e.what());
+    }
   }
 }
 

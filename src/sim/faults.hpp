@@ -91,9 +91,10 @@ struct FaultPlan {
   bool has_crash_faults() const;
 };
 
-/// Parses one fault line, `<kind> key=value ...` with keys start, end,
-/// p, mag, dim. Errors throw PreconditionError naming `line_no`.
-FaultSpec parse_fault_spec(const std::string& text, std::size_t line_no);
+/// Parses one fault spec, `<kind> key=value ...` with keys start, end,
+/// p, mag, dim: the value of a scenario's `fault` line. Errors throw
+/// PreconditionError; the scenario reader names the line.
+FaultSpec parse_fault_spec(const std::string& text);
 
 /// Canonical single-line form of a spec, parseable by parse_fault_spec:
 /// `<kind> start=<s> [end=<s>] p=<p> mag=<m> dim=<d>` (end omitted for

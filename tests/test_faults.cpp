@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/scenario_file.hpp"
 #include "sim/faults.hpp"
 #include "util/check.hpp"
 
@@ -43,7 +44,7 @@ TEST(FaultKindNames, RoundTrip) {
 
 TEST(FaultSpecParse, FullLine) {
   FaultSpec s =
-      parse_fault_spec("spike start=10 end=20 p=0.5 mag=4 dim=2", 3);
+      parse_fault_spec("spike start=10 end=20 p=0.5 mag=4 dim=2");
   EXPECT_EQ(s.kind, FaultKind::Spike);
   EXPECT_DOUBLE_EQ(s.start_s, 10.0);
   EXPECT_DOUBLE_EQ(s.end_s, 20.0);
@@ -56,7 +57,19 @@ TEST(FaultSpecParse, FullLine) {
   EXPECT_FALSE(s.active(9.99));
 }
 
+/// Occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
 TEST(FaultSpecParse, ErrorsNameTheLine) {
+  // Fault plans are written as scenario `fault` lines: a bad spec names
+  // its scenario line exactly once.
   struct Case {
     const char* text;
     const char* needle;
@@ -73,22 +86,32 @@ TEST(FaultSpecParse, ErrorsNameTheLine) {
            Case{"spike p", "expected key=value"},
            Case{"spike p=abc", "expected a number"},
        }) {
+    std::istringstream doc(std::string("seed = 1\nfault_seed = 2\nfault = ") +
+                           c.text + "\n");
     try {
-      parse_fault_spec(c.text, 42);
+      harness::parse_fleet_scenario(doc);
       FAIL() << "no error for: " << c.text;
     } catch (const PreconditionError& e) {
-      EXPECT_NE(std::string(e.what()).find("line 42"), std::string::npos)
-          << e.what();
-      EXPECT_NE(std::string(e.what()).find(c.needle), std::string::npos)
-          << e.what();
+      std::string what = e.what();
+      EXPECT_NE(what.find("scenario line 3: "), std::string::npos) << what;
+      EXPECT_EQ(count_of(what, "line"), 1u) << what;
+      EXPECT_NE(what.find(c.needle), std::string::npos) << what;
     }
   }
 }
 
 TEST(FaultInjector, RejectsInvalidProgrammaticPlans) {
-  EXPECT_THROW(
-      FaultInjector(plan_of({spec_of(FaultKind::Spike, /*p=*/2.0)})),
-      PreconditionError);
+  // A plan built in code has no lines: the error names the entry.
+  try {
+    FaultInjector(plan_of({spec_of(FaultKind::Spike),
+                           spec_of(FaultKind::Spike, /*p=*/2.0)}));
+    FAIL() << "accepted p = 2";
+  } catch (const PreconditionError& e) {
+    std::string what = e.what();
+    EXPECT_NE(what.find("fault 2: p must be in [0,1]"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("line"), std::string::npos) << what;
+  }
 }
 
 TEST(FaultInjector, DropoutYieldsNaN) {

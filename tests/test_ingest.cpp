@@ -454,8 +454,9 @@ TEST(ScenarioIngest, ParsesAndSerializesAsAFixedPoint) {
       "ingest_burst_rate_hz = 128\n"
       "ingest_burst_start_s = 10\n"
       "ingest_burst_end_s = 20\n");
-  harness::Scenario scenario = harness::parse_scenario(in);
-  const core::IngestConfig& ing = scenario.spec.stayaway.ingest;
+  harness::FleetScenario doc = harness::parse_fleet_scenario(in);
+  ASSERT_FALSE(doc.fleet_syntax);
+  const core::IngestConfig& ing = doc.base.spec.stayaway.ingest;
   EXPECT_EQ(ing.source, core::IngestSource::Ring);
   EXPECT_EQ(ing.rate_hz, 16.0);
   EXPECT_EQ(ing.ring_capacity, 64u);
@@ -464,16 +465,16 @@ TEST(ScenarioIngest, ParsesAndSerializesAsAFixedPoint) {
   EXPECT_EQ(ing.burst_start_s, 10.0);
   EXPECT_EQ(ing.burst_end_s, 20.0);
 
-  std::string once = harness::serialize_scenario(scenario);
+  std::string once = harness::serialize_fleet_scenario(doc);
   std::istringstream again(once);
   std::string twice =
-      harness::serialize_scenario(harness::parse_scenario(again));
+      harness::serialize_fleet_scenario(harness::parse_fleet_scenario(again));
   EXPECT_EQ(once, twice);
 }
 
 TEST(ScenarioIngest, DefaultIngestSerializesNoIngestKeys) {
-  harness::Scenario scenario;
-  std::string text = harness::serialize_scenario(scenario);
+  harness::FleetScenario doc;  // fleet_syntax false: a plain document
+  std::string text = harness::serialize_fleet_scenario(doc);
   // The historical canonical bytes are pinned by golden run-logs: a
   // default config must not grow new keys.
   EXPECT_EQ(text.find("ingest_"), std::string::npos);

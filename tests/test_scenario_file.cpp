@@ -11,18 +11,28 @@
 #include "replay/run_log.hpp"
 #include "sim/faults.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace stayaway::harness {
 namespace {
 
-Scenario parse(const std::string& text) {
-  std::istringstream in(text);
-  return parse_scenario(in);
-}
-
 FleetScenario parse_fleet(const std::string& text) {
   std::istringstream in(text);
   return parse_fleet_scenario(in);
+}
+
+/// A plain (single-host) document: its base body.
+Scenario parse(const std::string& text) {
+  FleetScenario doc = parse_fleet(text);
+  EXPECT_FALSE(doc.fleet_syntax) << text;
+  return doc.base;
+}
+
+/// The canonical form of a plain document.
+std::string serialize(const Scenario& scenario) {
+  FleetScenario doc;
+  doc.base = scenario;
+  return serialize_fleet_scenario(doc);
 }
 
 TEST(ScenarioFile, DefaultsWhenEmpty) {
@@ -270,6 +280,25 @@ TEST(ScenarioFile, FaultedScenarioActuallyRuns) {
   EXPECT_GT(r.degraded_periods + r.failsafe_periods, 0u);
 }
 
+TEST(ScenarioFile, WorkloadCyclesMustBeFiniteAndPositive) {
+  // A non-finite cycle count used to reach an undefined double -> size_t
+  // cast in the diurnal generator; now each one fails before any trace is
+  // allocated.
+  for (const char* value : {"inf", "nan", "-1"}) {
+    try {
+      parse(std::string("workload = diurnal\nworkload_cycles = ") + value +
+            "\n");
+      ADD_FAILURE() << "accepted workload_cycles = " << value;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Finite but far too long: the generator's sample-count check.
+  EXPECT_THROW(parse("workload = diurnal\nworkload_cycles = 1e300\n"),
+               PreconditionError);
+}
+
 TEST(ScenarioFile, ParsedScenarioActuallyRuns) {
   Scenario s = parse(R"(
     sensitive = vlc-stream
@@ -344,11 +373,15 @@ TEST(FleetScenarioFile, RejectsMalformedFleetSyntax) {
   // Per-section duplicate keys are still duplicates.
   EXPECT_THROW(parse_fleet("[host \"a\"]\nseed = 1\nseed = 2\n"),
                PreconditionError);
-}
-
-TEST(FleetScenarioFile, PlainParserRejectsFleetSyntax) {
-  EXPECT_THROW(parse("workers = 2\n"), PreconditionError);
-  EXPECT_THROW(parse("[host \"a\"]\n"), PreconditionError);
+  // The writer puts host names inside quotes, so the reader rejects a
+  // name holding one instead of running a fleet it cannot record.
+  try {
+    parse_fleet("seed = 1\n[host \"we\"b\"]\n");
+    ADD_FAILURE() << "accepted a quote in a host name";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ScenarioFile, QuotedValuesAndEscapes) {
@@ -444,14 +477,14 @@ TEST(ScenarioFile, SubnormalValuesRoundTrip) {
       std::numeric_limits<double>::denorm_min();
   ASSERT_TRUE(doc.spec.faults.has_value());
   doc.spec.faults->faults[0].start_s = 1e-320;
-  std::string once = serialize_scenario(doc);
+  std::string once = serialize(doc);
   Scenario back = parse(once);
   EXPECT_EQ(back.spec.stayaway.sampler.noise_fraction,
             std::numeric_limits<double>::denorm_min());
   ASSERT_TRUE(back.spec.faults.has_value());
   ASSERT_EQ(back.spec.faults->faults.size(), 1u);
   EXPECT_EQ(back.spec.faults->faults[0].start_s, 1e-320);
-  EXPECT_EQ(serialize_scenario(back), once);
+  EXPECT_EQ(serialize(back), once);
   // Overflow is still a malformed number.
   EXPECT_THROW(parse("noise_fraction = 1e400\n"), PreconditionError);
   EXPECT_THROW(parse("fault = sensor-dropout start=1e400\n"),
@@ -641,6 +674,51 @@ TEST(ScenarioGolden, CommittedRunLogScenariosAreCanonical) {
     ++checked;
   }
   EXPECT_GE(checked, 3u);
+}
+
+/// Seeded single-byte damage to the canonical every-key document: each
+/// mutant must either parse, and then serialize to a fixed point, or fail
+/// as PreconditionError, the one error a malformed scenario may raise.
+/// Any other exception type means the reader trusts its input.
+void expect_mutants_parse_or_fail_typed(std::uint64_t seed,
+                                        std::size_t mutants) {
+  const std::string canonical = every_key_canonical();
+  // Digits, number and scenario syntax: mutants stay close to
+  // well-formed, so they reach the value codecs and the section rules.
+  const std::string alphabet = "0123456789 -.=\n\"#:[],xeinaft";
+  Rng rng(seed);
+  std::size_t parsed = 0;
+  for (std::size_t m = 0; m < mutants; ++m) {
+    std::string mutant = canonical;
+    std::size_t pos = rng.index(mutant.size());
+    mutant[pos] = alphabet[rng.index(alphabet.size())];
+    FleetScenario doc;
+    try {
+      doc = parse_fleet(mutant);
+    } catch (const PreconditionError&) {
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "byte " << pos << " -> '" << mutant[pos]
+                    << "' threw a non-precondition error: " << e.what();
+      continue;
+    }
+    ++parsed;
+    std::string once = serialize_fleet_scenario(doc);
+    EXPECT_EQ(serialize_fleet_scenario(parse_fleet(once)), once)
+        << "byte " << pos << " -> '" << mutant[pos] << "'";
+  }
+  // Both outcomes occur: the mutants are neither all harmless nor all
+  // rejected.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, mutants);
+}
+
+TEST(ScenarioMutation, EveryKeyMutantsParseOrFailTyped) {
+  expect_mutants_parse_or_fail_typed(17, 1500);
+}
+
+TEST(ScenarioMutation, EveryKeyMutantsParseOrFailTypedSecondSeed) {
+  expect_mutants_parse_or_fail_typed(29, 1500);
 }
 
 TEST(ScenarioGolden, EveryKeyDocumentSerializesToPinnedBytes) {

@@ -173,5 +173,16 @@ TEST(Diurnal, InvalidSpecRejected) {
   EXPECT_THROW(generate_diurnal(spec), PreconditionError);
 }
 
+TEST(Diurnal, SampleCountIsCheckedBeforeTheCast) {
+  // An infinite or astronomically long trace fails its precondition
+  // instead of reaching an undefined double -> size_t cast.
+  for (double days : {std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::quiet_NaN(), 1e300}) {
+    DiurnalSpec spec;
+    spec.days = days;
+    EXPECT_THROW(generate_diurnal(spec), PreconditionError) << days;
+  }
+}
+
 }  // namespace
 }  // namespace stayaway::trace
