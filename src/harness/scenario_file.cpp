@@ -220,7 +220,7 @@ std::vector<std::string> vm_parts(const std::string& t, std::size_t min,
 double time_value(const std::string& t) {
   double v = 0.0;
   read(t, v);
-  if (v < 0.0) fail("times must be >= 0, got " + t);
+  if (!(v >= 0.0)) fail("times must be >= 0, got " + t);
   return v;
 }
 
@@ -304,6 +304,7 @@ class FieldIO {
     } else if (claim(key, /*repeatable=*/true)) {
       T item;
       read(value_, item);
+      // VM specs: a name is declared once per section.
       if constexpr (requires { item.name; }) {
         if (!seen_->vm_names.insert(item.name).second) {
           fail("duplicate VM name '" + item.name + "'");

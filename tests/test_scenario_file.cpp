@@ -214,6 +214,7 @@ TEST(ScenarioFile, RejectsMalformedVmAndMetricValues) {
   EXPECT_THROW(parse("vm = extra:\n"), PreconditionError);
   EXPECT_THROW(parse("vm = extra:none\n"), PreconditionError);
   EXPECT_THROW(parse("vm = extra:cpubomb:-5\n"), PreconditionError);
+  EXPECT_THROW(parse("vm = extra:cpubomb:nan\n"), PreconditionError);
   EXPECT_THROW(parse("vm = extra:frobnicator\n"), PreconditionError);
   EXPECT_THROW(parse("metrics = cpu,,mem\n"), PreconditionError);
   // Repeating a non-list key is still rejected even though fault/vm repeat.
@@ -676,6 +677,13 @@ TEST(ScenarioGolden, CommittedRunLogScenariosAreCanonical) {
   EXPECT_GE(checked, 3u);
 }
 
+TEST(ScenarioGolden, EveryKeyDocumentSerializesToPinnedBytes) {
+  std::string canonical =
+      serialize_fleet_scenario(parse_fleet(kEveryKeyDocument));
+  EXPECT_EQ(canonical, every_key_canonical());
+  EXPECT_EQ(serialize_fleet_scenario(parse_fleet(canonical)), canonical);
+}
+
 /// Seeded single-byte damage to the canonical every-key document: each
 /// mutant must either parse, and then serialize to a fixed point, or fail
 /// as PreconditionError, the one error a malformed scenario may raise.
@@ -719,13 +727,6 @@ TEST(ScenarioMutation, EveryKeyMutantsParseOrFailTyped) {
 
 TEST(ScenarioMutation, EveryKeyMutantsParseOrFailTypedSecondSeed) {
   expect_mutants_parse_or_fail_typed(29, 1500);
-}
-
-TEST(ScenarioGolden, EveryKeyDocumentSerializesToPinnedBytes) {
-  std::string canonical =
-      serialize_fleet_scenario(parse_fleet(kEveryKeyDocument));
-  EXPECT_EQ(canonical, every_key_canonical());
-  EXPECT_EQ(serialize_fleet_scenario(parse_fleet(canonical)), canonical);
 }
 
 }  // namespace
