@@ -74,8 +74,6 @@ struct DegradationConfig {
 /// How the map over representatives is (re)computed each period.
 enum class EmbedMethod {
   SmacofWarm,  // full SMACOF, warm-started from the previous layout (default)
-  SmacofCold,  // full SMACOF from a classical-MDS seed every time (ablation)
-  Landmark,    // landmark-MDS approximation (§4's fast path)
   Pca,         // PCA projection (ablation comparator, §2.2)
   LandmarkIncremental,  // streaming path (DESIGN.md §15): fit landmarks
                         // once, place only the NEW representatives each
@@ -153,7 +151,7 @@ struct StayAwayConfig {
   /// highest-priority present sensitive VM are throttled instead.
   bool allow_sensitive_demotion = false;
   EmbedMethod embed_method = EmbedMethod::SmacofWarm;
-  /// Landmark count when embed_method == Landmark/LandmarkIncremental.
+  /// Landmark count when embed_method == LandmarkIncremental.
   std::size_t landmark_count = 24;
   /// LandmarkIncremental only: refit the landmark model (full refresh +
   /// Procrustes re-alignment) once the representative count reaches this
@@ -179,13 +177,13 @@ struct StayAwayConfig {
 };
 
 /// Sizing of core::FleetController: how many worker threads drive the
-/// per-host pipelines, and the base seed from which per-host RNG streams
-/// are split (fleet_host_seed).
+/// per-host pipelines, and how supervised members checkpoint and watch
+/// for stalls. Per-host seeds are not set here: whoever builds a member's
+/// pipeline splits them with fleet_host_seed.
 struct FleetConfig {
-  /// Concurrent pipeline drivers. 1 = strictly sequential host-by-host.
+  /// Concurrent pipeline drivers. 1 = every member inline on the caller,
+  /// host by host.
   std::size_t workers = 1;
-  /// Base seed; host i derives its streams via fleet_host_seed(seed, i).
-  std::uint64_t seed = 1234;
   // --- Supervision (DESIGN.md §17); active only for members that carry
   // a rebuild callback. ------------------------------------------------
   /// Checkpoint every N completed periods (0 = checkpoints off; failures

@@ -113,37 +113,15 @@ void MapEmbedder::embed(const monitor::RepresentativeSet& reps) {
       stress_ = mds::normalized_stress(delta, positions_);
       return;
     }
-    case EmbedMethod::Landmark: {
-      if (n > landmark_count_) {
-        mds::Embedding prev = positions_;
-        positions_ = mds::landmark_embed(vectors, landmark_count_);
-        stress_ = mds::normalized_stress(delta, positions_);
-        if (prev.size() >= 2) {
-          mds::Embedding head(positions_.begin(),
-                              positions_.begin() +
-                                  static_cast<std::ptrdiff_t>(prev.size()));
-          auto align = mds::procrustes_align(head, prev,
-                                             {.allow_reflection = true,
-                                              .allow_scaling = false});
-          positions_ = align.transform.apply(positions_);
-        }
-        return;
-      }
-      // Too few points for landmarks: fall through to full SMACOF.
-      [[fallthrough]];
-    }
     // Below the landmark count the incremental mode embeds exactly like
     // SmacofWarm — a handful of points is cheap to solve exactly, and the
     // warm seed keeps the map stable until the streaming regime takes
     // over.
     case EmbedMethod::LandmarkIncremental:
-    case EmbedMethod::SmacofCold:
     case EmbedMethod::SmacofWarm: {
-      const bool warm = method_ == EmbedMethod::SmacofWarm ||
-                        method_ == EmbedMethod::LandmarkIncremental;
       mds::Embedding prev = positions_;
       mds::SmacofResult res;
-      if (warm && !prev.empty()) {
+      if (!prev.empty()) {
         // Warm seed: old points keep their spot; each new one is placed
         // against everything already positioned. Warm starts converge in
         // a couple of iterations but can inherit a local minimum, so
@@ -178,7 +156,7 @@ void MapEmbedder::embed(const monitor::RepresentativeSet& reps) {
       }
       positions_ = std::move(res.points);
       stress_ = res.stress;
-      if (warm && prev.size() >= 2) {
+      if (prev.size() >= 2) {
         // Whichever solution won, rotate/flip it back onto the previous
         // layout so directions in the map stay meaningful across periods.
         mds::Embedding head(positions_.begin(),

@@ -21,19 +21,25 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-}  // namespace
+// Injected faults are masked behind the crash horizon once handled, so
+// only a genuine (deterministic) defect can make the same period fail
+// again; after this many recoveries the member is declared dead and its
+// exception surfaces through run() — the rest of the fleet keeps going.
+constexpr std::size_t kMaxRecoveriesPerPeriod = 3;
 
-const char* to_string(MemberHealth health) {
-  switch (health) {
-    case MemberHealth::Normal:
-      return "normal";
-    case MemberHealth::Down:
-      return "down";
-    case MemberHealth::Recovering:
-      return "recovering";
+/// One period's ticks, with the per-tick hook after each when set.
+void run_ticks(FleetController::Member& member) {
+  if (member.on_tick) {
+    for (std::size_t t = 0; t < member.ticks_per_period; ++t) {
+      member.host->step();
+      member.on_tick();
+    }
+  } else {
+    member.host->run(member.ticks_per_period);
   }
-  return "unknown";
 }
+
+}  // namespace
 
 std::uint64_t fleet_host_seed(std::uint64_t base, std::size_t host_index) {
   // Avalanche base and index independently before combining. A single
@@ -66,112 +72,72 @@ void FleetController::add_member(Member member) {
 }
 
 void FleetController::drive(Member& member) const {
-  if (member.rebuild) {
-    std::vector<std::string> checkpoints;  // oldest..newest; last 2 kept
-    for (std::size_t p = 0; p < member.periods; ++p) {
-      drive_one_period_supervised(member, p, checkpoints);
-    }
-    return;
-  }
+  std::vector<std::string> checkpoints;  // oldest..newest; last 2 kept
   for (std::size_t p = 0; p < member.periods; ++p) {
-    drive_one_period(member);
+    drive_period(member, p, checkpoints);
   }
 }
 
-void FleetController::drive_one_period(Member& member) const {
-  if (member.on_tick) {
-    for (std::size_t t = 0; t < member.ticks_per_period; ++t) {
-      member.host->step();
-      member.on_tick();
-    }
-  } else {
-    member.host->run(member.ticks_per_period);
-  }
-  const PeriodRecord& rec = member.pipeline->on_period();
-  if (member.on_period) member.on_period(rec);
-  if (recorder_) recorder_->record_period(member.name, rec);
-}
-
-void FleetController::drive_one_period_supervised(
-    Member& member, std::size_t p,
-    std::vector<std::string>& checkpoints) const {
-  // Injected faults are masked behind the crash horizon once handled, so
-  // only a genuine (deterministic) defect can make the same period fail
-  // again; after this many recoveries the member is declared dead and
-  // its exception surfaces through run() — the rest of the fleet keeps
-  // going.
-  constexpr std::size_t kMaxRecoveriesPerPeriod = 3;
-  auto run_ticks = [&member] {
-    if (member.on_tick) {
-      for (std::size_t t = 0; t < member.ticks_per_period; ++t) {
-        member.host->step();
-        member.on_tick();
-      }
-    } else {
-      member.host->run(member.ticks_per_period);
-    }
-  };
+void FleetController::drive_period(Member& member, std::size_t p,
+                                   std::vector<std::string>& checkpoints)
+    const {
+  // Only a member with a rebuild callback is supervised. Any other
+  // member rethrows every failure unchanged, never checks the crash
+  // signal and never saves a checkpoint.
+  const bool supervised = static_cast<bool>(member.rebuild);
   std::size_t recoveries = 0;
   // HostCrash fires at the period boundary, before any tick of p, so
   // the recovered member replays nothing it has not already done.
-  const sim::FaultInjector* inj = member.pipeline->fault_injector();
-  if (inj != nullptr && inj->crash_signal(member.host->now())) {
-    ++member.recovery.crashes;
-    member.health = MemberHealth::Down;
-    recover(member, checkpoints, p, member.host->now());
-    ++recoveries;
-  }
-  bool period_done = false;
-  while (!period_done) {
-    run_ticks();
-    std::size_t stall_retries = 0;
-    bool escalate = false;
-    double fail_time = 0.0;
-    while (!escalate) {
-      try {
-        const PeriodRecord& rec = member.pipeline->on_period();
-        if (member.on_period) member.on_period(rec);
-        if (recorder_) recorder_->record_period(member.name, rec);
-        period_done = true;
-        break;
-      } catch (const StageStallError& e) {
-        // The watchdog's deadline is a deterministic attempt budget:
-        // retry the stage in place until the budget runs out, then
-        // treat the stall as a crash.
-        ++member.recovery.stalls;
-        ++stall_retries;
-        if (stall_retries < config_.watchdog_budget) continue;
-        ++member.recovery.watchdog_trips;
-        if (recoveries >= kMaxRecoveriesPerPeriod) throw;
-        escalate = true;
-        fail_time = e.time();
-      } catch (const StageThrowError& e) {
-        ++member.recovery.stage_throws;
-        if (recoveries >= kMaxRecoveriesPerPeriod) throw;
-        escalate = true;
-        fail_time = e.time();
-      } catch (const std::exception&) {
-        // An uninjected stage defect: trap it like a crash so the
-        // rest of the fleet keeps running, but give up once it proves
-        // deterministic.
-        if (recoveries >= kMaxRecoveriesPerPeriod) throw;
-        escalate = true;
-        fail_time = member.host->now();
-      }
-    }
-    if (escalate) {
-      member.health = MemberHealth::Down;
-      recover(member, checkpoints, p, fail_time);
+  if (supervised) {
+    const sim::FaultInjector* inj = member.pipeline->fault_injector();
+    if (inj != nullptr && inj->crash_signal(member.host->now())) {
+      ++member.recovery.crashes;
+      recover(member, checkpoints, p, member.host->now());
       ++recoveries;
-      // loop: re-run this period's ticks on the recovered host
     }
   }
-  if (config_.checkpoint_every > 0 &&
+  run_ticks(member);
+  std::size_t stall_retries = 0;
+  for (;;) {
+    double fail_time = 0.0;
+    try {
+      const PeriodRecord& rec = member.pipeline->on_period();
+      if (member.on_period) member.on_period(rec);
+      if (recorder_) recorder_->record_period(member.name, rec);
+      break;
+    } catch (const StageStallError& e) {
+      if (!supervised) throw;
+      // The watchdog's deadline is a deterministic attempt budget: retry
+      // the stage in place until the budget runs out, then treat the
+      // stall as a crash.
+      ++member.recovery.stalls;
+      if (++stall_retries < config_.watchdog_budget) continue;
+      ++member.recovery.watchdog_trips;
+      if (recoveries >= kMaxRecoveriesPerPeriod) throw;
+      fail_time = e.time();
+    } catch (const StageThrowError& e) {
+      if (!supervised) throw;
+      ++member.recovery.stage_throws;
+      if (recoveries >= kMaxRecoveriesPerPeriod) throw;
+      fail_time = e.time();
+    } catch (const std::exception&) {
+      // An uninjected stage defect: trap it like a crash so the rest of
+      // the fleet keeps running, but give up once it proves
+      // deterministic.
+      if (!supervised || recoveries >= kMaxRecoveriesPerPeriod) throw;
+      fail_time = member.host->now();
+    }
+    recover(member, checkpoints, p, fail_time);
+    ++recoveries;
+    stall_retries = 0;
+    run_ticks(member);  // re-run this period's ticks on the recovered host
+  }
+  if (supervised && config_.checkpoint_every > 0 &&
       (p + 1) % config_.checkpoint_every == 0 &&
       member.pipeline->checkpointable()) {
     std::string blob = encode_checkpoint(*member.pipeline);
-    const sim::FaultInjector* cinj = member.pipeline->fault_injector();
-    if (cinj != nullptr && cinj->checkpoint_corrupt(member.host->now())) {
+    const sim::FaultInjector* inj = member.pipeline->fault_injector();
+    if (inj != nullptr && inj->checkpoint_corrupt(member.host->now())) {
       corrupt_checkpoint_blob(blob);
     }
     checkpoints.push_back(std::move(blob));
@@ -183,7 +149,6 @@ void FleetController::drive_one_period_supervised(
 void FleetController::recover(Member& member,
                               std::vector<std::string>& checkpoints,
                               std::size_t period, double fail_time) const {
-  member.health = MemberHealth::Recovering;
   // The crashed pipeline's completed history drives the divergence
   // check; capture it (encoded, so NaN coordinates compare exactly)
   // before the rebuild tears the pipeline down.
@@ -192,33 +157,33 @@ void FleetController::recover(Member& member,
   for (const PeriodRecord& rec : member.pipeline->records()) {
     history.push_back(serialize_period_record(rec));
   }
-  // Newest usable checkpoint wins. A checkpoint that fails to restore is
-  // dropped for good (it will not get better); with none left the member
-  // cold-starts and replays the whole run.
+  // Newest usable checkpoint wins. Each attempt starts from a fresh
+  // rebuild; a checkpoint that fails to restore is dropped for good (it
+  // will not get better), and with none left the member cold-starts and
+  // replays the whole run. warm_start is the same restore and
+  // restored-prefix fast-forward that `--restore` runs: the ticks re-run
+  // and the journalled actuations re-apply at their original period
+  // boundaries, so the host lands bit-for-bit where the checkpointed run
+  // stood.
   std::size_t restored = 0;
-  bool warm = false;
-  while (!checkpoints.empty() && !warm) {
+  for (;;) {
     Member::Rebuilt fresh = member.rebuild();
     SA_REQUIRE(fresh.host != nullptr && fresh.pipeline != nullptr,
                "rebuild must produce a host and a pipeline");
     member.host = fresh.host;
     member.pipeline = fresh.pipeline;
+    if (checkpoints.empty()) {
+      ++member.recovery.cold_starts;
+      break;
+    }
     try {
-      restored = restore_checkpoint(*member.pipeline, checkpoints.back());
-      warm = true;
+      restored = warm_start(*member.pipeline, *member.host,
+                            member.ticks_per_period, checkpoints.back());
+      break;
     } catch (const util::StateCodecError&) {
       ++member.recovery.corrupt_checkpoints_dropped;
       checkpoints.pop_back();
     }
-  }
-  if (!warm) {
-    Member::Rebuilt fresh = member.rebuild();
-    SA_REQUIRE(fresh.host != nullptr && fresh.pipeline != nullptr,
-               "rebuild must produce a host and a pipeline");
-    member.host = fresh.host;
-    member.pipeline = fresh.pipeline;
-    ++member.recovery.cold_starts;
-    restored = 0;
   }
   // Mask every crash spec whose window had already opened, so the
   // handled failure cannot re-fire during the replay or immediately
@@ -227,19 +192,10 @@ void FleetController::recover(Member& member,
   sim::FaultInjector* minj = member.pipeline->mutable_fault_injector();
   if (minj != nullptr) minj->set_crash_horizon(fail_time);
   if (member.on_reset) member.on_reset();
-  // The whole replay is silent: hooks, the recorder and the observer
+  // The gap replay is silent: hooks, the recorder and the observer
   // already consumed periods 0..period-1 on the crashed run.
   obs::Observer* observer = member.pipeline->observer();
   member.pipeline->set_observer(nullptr);
-  // Fast-forward through the restored prefix: re-run the ticks, re-apply
-  // the journalled actuations at their original period boundaries. Tick
-  // arithmetic is deterministic, so the host lands bit-for-bit where the
-  // checkpointed run stood.
-  SimHostActuationPort& port = member.pipeline->actuation_port();
-  for (std::size_t k = 0; k < restored; ++k) {
-    member.host->run(member.ticks_per_period);
-    port.replay_delivered(member.host->now());
-  }
   // Gap replay: live periods from the checkpoint to the failure. The
   // restored RNG streams re-draw exactly what the crashed run drew, so
   // every regenerated record must equal the history — anything else is a
@@ -261,7 +217,6 @@ void FleetController::recover(Member& member,
   if (member.replay_directives) member.replay_directives(period);
   if (observer != nullptr) member.pipeline->set_observer(observer);
   ++member.recovery.recoveries;
-  member.health = MemberHealth::Normal;
 }
 
 void FleetController::run_lockstep() {
@@ -277,12 +232,7 @@ void FleetController::run_lockstep() {
   std::vector<std::vector<std::string>> checkpoints(members_.size());
   for (std::size_t p = 0; p < periods; ++p) {
     for (std::size_t i = 0; i < members_.size(); ++i) {
-      Member& m = members_[i];
-      if (m.rebuild) {
-        drive_one_period_supervised(m, p, checkpoints[i]);
-      } else {
-        drive_one_period(m);
-      }
+      drive_period(members_[i], p, checkpoints[i]);
     }
     // No hook after the final period: the run is over, and a boundary
     // mutation there would touch hosts that never tick again.
@@ -296,14 +246,10 @@ void FleetController::run() {
     run_lockstep();
     return;
   }
-  std::size_t workers = std::min(config_.workers, members_.size());
-  if (workers <= 1) {
-    for (Member& m : members_) drive(m);
-    return;
-  }
-  util::ThreadPool pool(workers);
-  // RangeFn must not throw: capture per-member exceptions and surface
-  // the first after the section ends.
+  // A pool of one runs inline on the caller, so every worker count
+  // takes this one path. RangeFn must not throw: capture per-member
+  // exceptions and surface the first after every member ran.
+  util::ThreadPool pool(std::min(config_.workers, members_.size()));
   std::vector<std::exception_ptr> errors(members_.size());
   pool.for_ranges(members_.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {

@@ -41,18 +41,6 @@ class PeriodSink {
                              const PeriodRecord& rec) = 0;
 };
 
-/// Supervisor view of one member's liveness (DESIGN.md §17): Normal
-/// while the control loop runs, Down the moment a crash-class failure is
-/// trapped, Recovering while the checkpoint restore + replay runs. Only
-/// the worker thread driving the member writes or reads it.
-enum class MemberHealth {
-  Normal,
-  Down,
-  Recovering,
-};
-
-const char* to_string(MemberHealth health);
-
 /// What the supervisor did for one member (DESIGN.md §17). All counters
 /// are lifetime totals over the member's run.
 struct RecoveryReport {
@@ -69,6 +57,8 @@ struct RecoveryReport {
   /// determinism guarantee says this stays zero; the fuzzer's
   /// checkpoint-divergence detector fails a run on any other value.
   std::size_t divergences = 0;
+
+  bool operator==(const RecoveryReport&) const = default;
 
   bool any_failures() const {
     return crashes + stage_throws + stalls + watchdog_trips +
@@ -122,8 +112,6 @@ class FleetController {
     /// Written by the supervisor while driving; read the totals after
     /// run().
     RecoveryReport recovery;
-    /// Driver-thread-local liveness; not synchronized across threads.
-    MemberHealth health = MemberHealth::Normal;
   };
 
   explicit FleetController(FleetConfig config);
@@ -150,32 +138,34 @@ class FleetController {
     period_hook_ = std::move(hook);
   }
 
-  /// Drives every member for its configured periods, with up to
-  /// config.workers members in flight at once. Exceptions from member
-  /// loops are captured per member and the first one rethrown after
-  /// every worker joined. With a period hook installed, members run in
+  /// Drives every member for its configured periods on a pool of
+  /// min(config.workers, members) threads; a pool of one runs inline on
+  /// the caller. Whatever the worker count, every member runs to its end
+  /// or to its own failure: exceptions from member loops are captured
+  /// per member, and the first one in member order is rethrown after
+  /// every member ran. With a period hook installed, members run in
   /// lockstep instead (workers are ignored; the coordinated fleet is
   /// sequential by construction so coordinator decisions are
-  /// deterministic).
+  /// deterministic) and the first failure stops the fleet.
   void run();
 
  private:
   void drive(Member& member) const;
-  /// One unsupervised period: ticks, on_period, hooks, recorder.
-  void drive_one_period(Member& member) const;
-  /// One supervised period: crash trap, stall watchdog, recovery, and
-  /// the end-of-period checkpoint cadence. `checkpoints` spans the
-  /// member's whole run (newest last, last two kept).
-  void drive_one_period_supervised(Member& member, std::size_t p,
-                                   std::vector<std::string>& checkpoints)
-      const;
+  /// Drives period `p` of one member: ticks, on_period, hooks, recorder.
+  /// A supervised member (one with a rebuild callback) also gets the
+  /// crash trap, the stall watchdog, recovery and the end-of-period
+  /// checkpoint cadence; `checkpoints` spans the member's whole run
+  /// (newest last, last two kept) and stays empty for any other member.
+  void drive_period(Member& member, std::size_t p,
+                    std::vector<std::string>& checkpoints) const;
   /// Lockstep driver behind set_period_hook().
   void run_lockstep();
-  /// Rebuilds the member, restores the newest usable checkpoint (corrupt
-  /// ones are dropped for good; none left = cold start), masks the
-  /// handled fault behind the crash horizon and silently replays up to
-  /// `period` — leaving the member exactly where the crashed run stood
-  /// when period `period`'s ticks were about to run.
+  /// Rebuilds the member, warm-starts it from the newest usable
+  /// checkpoint (corrupt ones are dropped for good; none left = cold
+  /// start), masks the handled fault behind the crash horizon and
+  /// silently replays up to `period` — leaving the member exactly where
+  /// the crashed run stood when period `period`'s ticks were about to
+  /// run.
   void recover(Member& member, std::vector<std::string>& checkpoints,
                std::size_t period, double fail_time) const;
 

@@ -403,6 +403,15 @@ struct Body {
   Scenario finish() const {
     Scenario out = scenario;
     if (out.workload == "diurnal") {
+      // The compressed trace holds 96 samples per cycle whatever the run
+      // length, so the cycle count is bounded by the run's period count:
+      // at most one load cycle per control period.
+      const double periods = out.spec.duration_s / out.spec.period_s;
+      if (out.workload_cycles > periods) {
+        fail("workload_cycles = " + text(out.workload_cycles) +
+             " exceeds duration_s / period_s = " + text(periods) +
+             " (more than one load cycle per control period)");
+      }
       out.spec.workload = compressed_diurnal(
           out.spec.duration_s, out.workload_cycles, out.spec.seed);
     }

@@ -72,6 +72,8 @@ struct Scenario {
   /// round-trips — same kind + cycles + seed + duration regenerates the
   /// identical trace.
   std::string workload = "constant";
+  /// Diurnal load cycles over the run; the reader rejects more than one
+  /// per control period (duration_s / period_s).
   double workload_cycles = 1.5;
   /// Also run the no-prevention and isolated references and report the
   /// gained utilization / violation comparison.

@@ -3,7 +3,8 @@
 // concurrent surfaces of the library: the thread pool that drives fleet
 // members (worker hand-off), the obs metrics registry (relaxed-atomic
 // updates racing registration and snapshots), and the fleet runner (full
-// host pipelines publishing into one shared observer from a worker pool).
+// host pipelines publishing into one shared observer from a worker pool,
+// and a supervised member crash-recovering while its siblings run).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
+#include "sim/faults.hpp"
 #include "util/thread_pool.hpp"
 
 namespace stayaway {
@@ -88,6 +90,64 @@ TEST(FleetConcurrency, EightPipelinesOnFourWorkersMatchSerialRun) {
               200u);
   }
   EXPECT_GT(sink.emitted(), kHosts * 200);
+}
+
+// DESIGN.md §17 on a worker pool: host 3 of 8 crashes twice and recovers
+// from its in-memory checkpoints (every 5 periods) on one worker while
+// the other seven run on the rest. The crashed host's recovery — its
+// restore, gap replay and checkpoints — and every sibling's stream must
+// match the serial run of the same fleet exactly. Runs under TSan via
+// `ci.sh --fleet` and `ci.sh --tsan`.
+TEST(FleetConcurrency, SupervisedCrashRecoveryOnFourWorkersMatchesSerialRun) {
+  harness::ExperimentSpec base;
+  base.sensitive = harness::SensitiveKind::VlcStream;
+  base.batch = harness::BatchKind::TwitterAnalysis;
+  base.policy = harness::PolicyKind::StayAway;
+  base.duration_s = 60.0;
+  base.sensitive_start_s = 2.0;
+  base.batch_start_s = 10.0;
+
+  constexpr std::size_t kHosts = 8;
+  constexpr std::size_t kCrashHost = 3;
+  auto run = [&base](std::size_t workers) {
+    harness::FleetSpec spec =
+        harness::replicate_fleet(base, kHosts, 4321, workers);
+    spec.checkpoint_every = 5;
+    sim::FaultPlan plan;
+    plan.seed = 1;
+    for (double at : {27.0, 48.0}) {
+      sim::FaultSpec crash;
+      crash.kind = sim::FaultKind::HostCrash;
+      crash.start_s = at;
+      crash.end_s = at + 1.0;
+      plan.faults.push_back(crash);
+    }
+    spec.hosts[kCrashHost].experiment.faults = plan;
+    return harness::run_fleet(spec);
+  };
+  harness::FleetResult serial = run(1);
+  harness::FleetResult parallel = run(4);
+
+  ASSERT_EQ(serial.hosts.size(), kHosts);
+  ASSERT_EQ(parallel.hosts.size(), kHosts);
+  for (std::size_t i = 0; i < kHosts; ++i) {
+    const harness::FleetHostResult& p = parallel.hosts[i];
+    const harness::FleetHostResult& s = serial.hosts[i];
+    EXPECT_TRUE(p.result.stayaway_records == s.result.stayaway_records)
+        << "record stream diverged on host " << p.name;
+    EXPECT_EQ(p.result.stayaway_records.size(), 60u);
+    EXPECT_EQ(p.recovery, s.recovery) << "recovery differs on " << p.name;
+    if (i != kCrashHost) {
+      EXPECT_EQ(p.recovery, core::RecoveryReport{});
+    }
+  }
+  const core::RecoveryReport& r = parallel.hosts[kCrashHost].recovery;
+  EXPECT_EQ(r.crashes, 2u);
+  EXPECT_EQ(r.recoveries, 2u);
+  EXPECT_EQ(r.cold_starts, 0u);
+  EXPECT_EQ(r.divergences, 0u);
+  EXPECT_GT(r.gap_periods_replayed, 0u);
+  EXPECT_GT(r.checkpoints_saved, 0u);
 }
 
 // DESIGN.md §15: ring ingestion is a pull source that starts no thread,

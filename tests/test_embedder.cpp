@@ -105,15 +105,6 @@ TEST(Embedder, DistancesPreservedOnGrowth) {
   EXPECT_NEAR(mds::distance(pos[0], pos[3]), std::sqrt(2.0), 0.05);
 }
 
-TEST(Embedder, ColdMethodAlsoEmbedsAccurately) {
-  MapEmbedder embedder(EmbedMethod::SmacofCold);
-  Rng rng(6);
-  monitor::RepresentativeSet reps(0.0);
-  for (int i = 0; i < 10; ++i) reps.assign({rng.uniform(), rng.uniform()});
-  embedder.update(reps);
-  EXPECT_LT(embedder.stress(), 0.02);  // planar data embeds exactly
-}
-
 TEST(Embedder, PcaMethodProducesEmbedding) {
   MapEmbedder embedder(EmbedMethod::Pca);
   Rng rng(7);
@@ -124,27 +115,6 @@ TEST(Embedder, PcaMethodProducesEmbedding) {
   const auto& pos = embedder.update(reps);
   EXPECT_EQ(pos.size(), 8u);
   EXPECT_GE(embedder.stress(), 0.0);
-}
-
-TEST(Embedder, LandmarkFallsBackBelowLandmarkCount) {
-  MapEmbedder embedder(EmbedMethod::Landmark, /*landmark_count=*/8);
-  monitor::RepresentativeSet reps(0.0);
-  reps.assign({0.0, 0.0});
-  reps.assign({1.0, 0.0});
-  reps.assign({0.0, 1.0});
-  const auto& pos = embedder.update(reps);
-  EXPECT_EQ(pos.size(), 3u);
-  EXPECT_LT(embedder.stress(), 0.02);
-}
-
-TEST(Embedder, LandmarkPathKicksInAboveThreshold) {
-  MapEmbedder embedder(EmbedMethod::Landmark, /*landmark_count=*/6);
-  Rng rng(8);
-  monitor::RepresentativeSet reps(0.0);
-  for (int i = 0; i < 20; ++i) reps.assign({rng.uniform(), rng.uniform()});
-  embedder.update(reps);
-  // Planar data: even the approximation should embed well.
-  EXPECT_LT(embedder.stress(), 0.1);
 }
 
 TEST(Embedder, ClustersRemainSeparated) {

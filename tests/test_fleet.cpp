@@ -1,10 +1,12 @@
 // Fleet runner tests: the fleet-of-1 golden digests (every policy,
 // fault-free and faulted, plus ring ingestion, webservice series, seeded
 // templates and passive mode) checked through both run_fleet and
-// run_experiment, per-host seed splitting, host-labelled observability
-// and worker-count invariance.
+// run_experiment, per-host seed splitting, host-labelled observability,
+// worker-count invariance, and how a controller surfaces the failure of
+// an unsupervised member.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -14,6 +16,7 @@
 
 #include "core/fleet.hpp"
 #include "harness/fleet.hpp"
+#include "harness/rig.hpp"
 #include "obs/events.hpp"
 #include "obs/observer.hpp"
 #include "util/envelope.hpp"
@@ -402,6 +405,117 @@ TEST(Fleet, SingleHostKeepsUnlabelledObservability) {
 
   EXPECT_EQ(observer.metrics().counter("loop.periods").value(), 20u);
   EXPECT_EQ(out.str().find("\"host\":"), std::string::npos);
+}
+
+/// One host wired by hand for a bare core::FleetController (run_fleet
+/// supervises every host whose plan holds a crash-class fault, so an
+/// unsupervised failing member needs this).
+struct HandWiredHost {
+  HostRig rig;
+  std::unique_ptr<core::HostPipeline> pipeline;
+
+  explicit HandWiredHost(const ExperimentSpec& spec)
+      : rig(build_host_rig(spec)),
+        pipeline(std::make_unique<core::HostPipeline>(
+            *rig.host, *rig.probe, derive_stayaway_config(spec))) {
+    if (spec.faults.has_value()) pipeline->install_faults(*spec.faults);
+  }
+
+  /// A member with no rebuild callback: unsupervised.
+  core::FleetController::Member member(std::string name) const {
+    core::FleetController::Member m;
+    m.name = std::move(name);
+    m.host = rig.host.get();
+    m.pipeline = pipeline.get();
+    m.periods = 40;
+    return m;
+  }
+};
+
+/// short_spec with one stage-failure window of `kind` at [start, start+2).
+ExperimentSpec failing_spec(sim::FaultKind kind, double start) {
+  ExperimentSpec spec = short_spec(PolicyKind::StayAway);
+  sim::FaultPlan plan;
+  plan.seed = 7;
+  plan.faults.push_back(fault_of(kind, start, start + 2.0));
+  spec.faults = plan;
+  return spec;
+}
+
+/// An unsupervised member takes the same period driver as a supervised
+/// one, but traps nothing: the injected error surfaces from run()
+/// unchanged, the recovery report stays all-zero and no checkpoint is
+/// saved even with a checkpoint cadence configured.
+template <typename Error>
+void expect_unsupervised_failure_rethrown(sim::FaultKind kind) {
+  HandWiredHost host(failing_spec(kind, 10.0));
+  core::FleetConfig config;
+  config.checkpoint_every = 2;
+  core::FleetController controller(config);
+  controller.add_member(host.member("solo"));
+  EXPECT_THROW(controller.run(), Error);
+  EXPECT_EQ(controller.members()[0].recovery, core::RecoveryReport{});
+  // The run stopped at the failing period, about 10 s in.
+  EXPECT_GE(host.pipeline->records().size(), 9u);
+  EXPECT_LE(host.pipeline->records().size(), 10u);
+}
+
+TEST(FleetFailures, UnsupervisedStageThrowIsRethrownUnchanged) {
+  expect_unsupervised_failure_rethrown<core::StageThrowError>(
+      sim::FaultKind::StageThrow);
+}
+
+TEST(FleetFailures, UnsupervisedStageStallIsRethrownUnchanged) {
+  expect_unsupervised_failure_rethrown<core::StageStallError>(
+      sim::FaultKind::StageStall);
+}
+
+TEST(FleetFailures, EveryMemberRunsWhateverTheWorkerCount) {
+  // Members 0 and 1 throw (member 1 earlier in simulated time), member 2
+  // is clean. Every member must run to its end or its own failure, and
+  // the error rethrown is the first in member order, on one worker as on
+  // three.
+  struct Outcome {
+    std::string error;
+    std::vector<std::size_t> records;
+  };
+  auto run_with = [](std::size_t workers) {
+    std::vector<std::unique_ptr<HandWiredHost>> hosts;
+    hosts.push_back(std::make_unique<HandWiredHost>(
+        failing_spec(sim::FaultKind::StageThrow, 20.0)));
+    hosts.push_back(std::make_unique<HandWiredHost>(
+        failing_spec(sim::FaultKind::StageThrow, 10.0)));
+    hosts.push_back(
+        std::make_unique<HandWiredHost>(short_spec(PolicyKind::StayAway)));
+    core::FleetConfig config;
+    config.workers = workers;
+    core::FleetController controller(config);
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      controller.add_member(hosts[i]->member("host" + std::to_string(i)));
+    }
+    Outcome out;
+    try {
+      controller.run();
+      ADD_FAILURE() << "run() returned with two failing members";
+    } catch (const core::StageThrowError& e) {
+      out.error = e.what();
+    }
+    for (const auto& host : hosts) {
+      out.records.push_back(host->pipeline->records().size());
+    }
+    return out;
+  };
+  const Outcome one = run_with(1);
+  const Outcome three = run_with(3);
+  EXPECT_EQ(one.error, "injected stage throw at t=20.000000");
+  EXPECT_EQ(three.error, one.error);
+  // The failing members stopped at their failures; the clean one ran all
+  // 40 periods.
+  ASSERT_EQ(one.records.size(), 3u);
+  EXPECT_LT(one.records[0], 40u);
+  EXPECT_LT(one.records[1], one.records[0]);
+  EXPECT_EQ(one.records[2], 40u);
+  EXPECT_EQ(three.records, one.records);
 }
 
 }  // namespace

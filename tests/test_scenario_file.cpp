@@ -295,9 +295,26 @@ TEST(ScenarioFile, WorkloadCyclesMustBeFiniteAndPositive) {
           << e.what();
     }
   }
-  // Finite but far too long: the generator's sample-count check.
-  EXPECT_THROW(parse("workload = diurnal\nworkload_cycles = 1e300\n"),
-               PreconditionError);
+  // Finite but more than one load cycle per control period: the trace
+  // would hold 96 samples per cycle (2e5 cycles = 19.2M samples), so the
+  // reader rejects it by name before any trace is allocated.
+  for (const char* value : {"2e5", "1e300"}) {
+    try {
+      parse(std::string("duration_s = 40\nperiod_s = 1\nworkload = "
+                        "diurnal\nworkload_cycles = ") +
+            value + "\n");
+      ADD_FAILURE() << "accepted workload_cycles = " << value;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("workload_cycles"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The boundary, one cycle per period, is accepted.
+  Scenario edge = parse(
+      "duration_s = 40\nperiod_s = 1\nworkload = diurnal\n"
+      "workload_cycles = 40\n");
+  EXPECT_EQ(edge.workload_cycles, 40.0);
 }
 
 TEST(ScenarioFile, ParsedScenarioActuallyRuns) {
